@@ -19,7 +19,7 @@ import numpy as np
 from . import diffcore as dc
 from .cograph import CoGraph, sample_neighbors
 from .encoder import PRELU_INIT, SkipEncoder, _glorot
-from .errors import NumericError
+from .errors import DataError, NumericError
 from .sessiondata import ItemCatalog
 
 EMA_DECAY = 0.99
@@ -51,11 +51,10 @@ def augment(graph: CoGraph, view: ViewConfig, rng: np.random.Generator) -> CoGra
     if X is not None:
         keep = rng.uniform(size=X.shape[1]) >= view.feature_mask_prob
         X = X * keep[None, :]
-    triples = graph.edge_triples()
-    if view.edge_drop_prob > 0 and triples:
-        keep_edges = rng.uniform(size=len(triples)) >= view.edge_drop_prob
-        triples = [t for t, k in zip(triples, keep_edges) if k]
-    return CoGraph.from_edges(graph.n, triples, c_max=graph.c_max, X=X)
+    edges = np.column_stack(graph.upper())
+    if view.edge_drop_prob > 0 and len(edges):
+        edges = edges[rng.uniform(size=len(edges)) >= view.edge_drop_prob]
+    return CoGraph.from_edges(graph.n, edges, c_max=graph.c_max, X=X)
 
 
 class Predictor:
@@ -264,17 +263,24 @@ def save_embeddings_binary(path, embeddings: np.ndarray, catalog: ItemCatalog):
 
 def load_embeddings_binary(path) -> tuple[np.ndarray, list[str]]:
     data = Path(path).read_bytes()
-    if data[:4] != _EMB_MAGIC:
-        raise ValueError(f"{path}: not an embedding file")
+    if len(data) < 20 or data[:4] != _EMB_MAGIC:
+        raise DataError(f"{path}: not an embedding file")
     m, d = struct.unpack_from("<QQ", data, 4)
+    if m * (2 + 8 * d) > len(data) - 20:   # each row: u16 id length, d values
+        raise DataError(f"{path}: header says {m} x {d}, file has {len(data)} bytes")
     offset = 20
     out = np.zeros((m, d))
     ids = []
-    for i in range(m):
-        (ln,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        ids.append(data[offset:offset + ln].decode("utf-8"))
-        offset += ln
-        out[i] = np.frombuffer(data, dtype="<f8", count=d, offset=offset)
-        offset += 8 * d
+    try:
+        for i in range(m):
+            (ln,) = struct.unpack_from("<H", data, offset)
+            offset += 2
+            ids.append(data[offset:offset + ln].decode("utf-8"))
+            offset += ln
+            out[i] = np.frombuffer(data, dtype="<f8", count=d, offset=offset)
+            offset += 8 * d
+    except (struct.error, ValueError) as exc:
+        raise DataError(f"{path}: truncated or corrupt at row {len(ids)}: {exc}") from None
+    if offset != len(data):
+        raise DataError(f"{path}: {len(data) - offset} trailing bytes after {m} rows")
     return out, ids

@@ -133,11 +133,13 @@ def save_catalog(out: Path, catalog: ItemCatalog, X: np.ndarray):
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
+def _catalog_ids(out: Path) -> list[str]:
+    lines = _require(out / CATALOG_IDS).read_text(encoding="utf-8").splitlines()
+    return [line.split(maxsplit=1)[1] for line in lines]
+
+
 def load_catalog(out: Path) -> tuple[ItemCatalog, np.ndarray]:
-    ids = []
-    for line in _require(out / CATALOG_IDS).read_text(encoding="utf-8").splitlines():
-        idx, ext = line.split(maxsplit=1)
-        ids.append(ext)
+    ids = _catalog_ids(out)
     rows = [
         [float(v) for v in line.split()]
         for line in _require(out / CATALOG_FEATURES).read_text(encoding="utf-8").splitlines()
@@ -268,16 +270,23 @@ def _knn_query_metrics(cfg: dict, split: CorpusSplit, embeddings, corpus_name: s
     return evalkit.query_metrics(ranked, targets, tuple(cfg["eval"]["k_values"]))
 
 
-def _load_embeddings_if_needed(cfg: dict, out: Path):
-    if not cfg["knn"]["gcnext"]["enabled"]:
+def _load_embeddings(cfg: dict, out: Path, task: str) -> np.ndarray | None:
+    """The embeddings.bin rows when `task` uses them (GCNext kNN, pretrained
+    next-item init), after checking their ids against catalog.ids."""
+    if not (cfg["knn"]["gcnext"]["enabled"] if task == "knn"
+            else cfg["nextitem"]["init_mode"] == "pretrained"):
         return None
-    emb, _ = bgrl.load_embeddings_binary(_require(out / EMBED_BINARY))
+    path = _require(out / EMBED_BINARY)
+    emb, ids = bgrl.load_embeddings_binary(path)
+    if ids != _catalog_ids(out):
+        raise DataError(f"{path}: item ids differ from {CATALOG_IDS}; "
+                        "re-run train-embed after preprocess")
     return emb
 
 
 def run_eval_knn(cfg: dict, out: Path) -> evalkit.MetricReport:
     split = load_split(out)
-    embeddings = _load_embeddings_if_needed(cfg, out)
+    embeddings = _load_embeddings(cfg, out, "knn")
 
     def pipeline(seed):
         return _knn_query_metrics(cfg, split, embeddings, "test")
@@ -325,9 +334,7 @@ def _nextitem_query_metrics(cfg: dict, split: CorpusSplit, embeddings, seed: int
 def run_train_next(cfg: dict, out: Path) -> evalkit.MetricReport:
     split = load_split(out)
     catalog, _ = load_catalog(out)
-    embeddings = None
-    if cfg["nextitem"]["init_mode"] == "pretrained":
-        embeddings, _ = bgrl.load_embeddings_binary(_require(out / EMBED_BINARY))
+    embeddings = _load_embeddings(cfg, out, "nextitem")
     logs: list[str] = []
 
     def pipeline(seed):
@@ -381,16 +388,12 @@ def run_compare(cfg_a: dict, cfg_b: dict, out_a: Path, out_b: Path, out: Path,
                 pair_by: str = "queries") -> dict:
     def run_one(cfg, art_out):
         split = load_split(art_out)
+        embeddings = _load_embeddings(cfg, art_out, cfg["task"])
         if cfg["task"] == "knn":
-            embeddings = _load_embeddings_if_needed(cfg, art_out)
-
             def pipeline(seed):
                 return _knn_query_metrics(cfg, split, embeddings, "test")
         else:
             catalog, _ = load_catalog(art_out)
-            embeddings = None
-            if cfg["nextitem"]["init_mode"] == "pretrained":
-                embeddings, _ = bgrl.load_embeddings_binary(_require(art_out / EMBED_BINARY))
 
             def pipeline(seed):
                 metrics, _ = _nextitem_query_metrics(cfg, split, embeddings, seed,
@@ -433,14 +436,11 @@ def _eval_grid_point(args):
         set_by_path(cfg, dotted, value)
     cfg = resolve_config(cfg)
     split = load_split(out)
+    embeddings = _load_embeddings(cfg, out, cfg["task"])
     if cfg["task"] == "knn":
-        embeddings = _load_embeddings_if_needed(cfg, out)
         metrics = _knn_query_metrics(cfg, split, embeddings, "validation")
     else:
         catalog, _ = load_catalog(out)
-        embeddings = None
-        if cfg["nextitem"]["init_mode"] == "pretrained":
-            embeddings, _ = bgrl.load_embeddings_binary(_require(out / EMBED_BINARY))
         metrics, _ = _nextitem_query_metrics(cfg, split, embeddings,
                                              cfg["eval"]["master_seed"],
                                              m=len(catalog), eval_corpus="validation")

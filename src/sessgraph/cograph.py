@@ -1,17 +1,24 @@
-"""Undirected weighted item co-occurrence graph with CSR adjacency.
+"""Undirected weighted item co-occurrence graph in one CSR form.
 
 Two items are connected when they appear together in a session; each session
 contributes each unordered pair of distinct items once (duplicates collapse
 to the item set first). Edge weights are co-occurrence counts normalized by
 the global maximum count, so weights live in (0, 1] and the strongest edge
 is exactly 1.
+
+The only graph form is CSR arrays holding both directions of every edge.
+`CoGraph.from_edges` builds every graph from (k, 3) undirected edges, and
+`CoGraph.upper()` returns them as (i, j, w) rows, i < j, in (i, j) order.
+`graph.bin` (little-endian): b"COG1", u64 n, u64 edge count, u64 c_max, then
+per edge in `upper()` order u64 i, u64 j, f64 w. `graph.txt`: a line
+"n edge_count c_max", then one line "i j repr(w)" per edge.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +27,8 @@ from .errors import DataError, DegenerateGraphError
 from .sessiondata import ItemCatalog, SessionCorpus
 
 _BIN_MAGIC = b"COG1"
+_BIN_HEADER = struct.Struct("<4sQQQ")
+_BIN_EDGE = np.dtype([("i", "<u8"), ("j", "<u8"), ("w", "<f8")])
 
 
 @dataclass
@@ -46,44 +55,45 @@ class CoGraph:
         lo, hi = self.indptr[node], self.indptr[node + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
 
-    def edge_triples(self) -> list[tuple[int, int, float]]:
-        """Sorted (i, j, w) with i < j, one per undirected edge."""
-        out = []
-        for i in range(self.n):
-            nbrs, ws = self.neighbors(i)
-            for j, w in zip(nbrs, ws):
-                if i < j:
-                    out.append((int(i), int(j), float(w)))
-        return out
-
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(dst, src, weight) arrays sorted by (dst, src): row i aggregates
         from its sorted neighbor list."""
         dst = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
         return dst, self.indices.copy(), self.weights.copy()
 
+    def upper(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, w) arrays of the undirected edges: i < j, sorted by (i, j)."""
+        dst, src, w = self.directed_edges()
+        keep = dst < src
+        return dst[keep], src[keep], w[keep]
+
+    def edge_triples(self) -> list[tuple[int, int, float]]:
+        """Sorted (i, j, w) with i < j, one per undirected edge."""
+        i, j, w = self.upper()
+        return list(zip(i.tolist(), j.tolist(), w.tolist()))
+
     @classmethod
     def from_edges(cls, n: int, triples, c_max: int = 0,
                    X: np.ndarray | None = None) -> "CoGraph":
-        """Build from undirected (i, j, w) triples with i != j."""
-        adj: dict[int, list[tuple[int, float]]] = {i: [] for i in range(n)}
-        for i, j, w in triples:
-            if i == j:
-                raise DataError(f"self-loop at node {i}")
-            adj[int(i)].append((int(j), float(w)))
-            adj[int(j)].append((int(i), float(w)))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indices = []
-        weights = []
-        for i in range(n):
-            nbrs = sorted(adj[i])
-            if len({j for j, _ in nbrs}) != len(nbrs):
-                raise DataError(f"duplicate edge at node {i}")
-            indptr[i + 1] = indptr[i] + len(nbrs)
-            indices.extend(j for j, _ in nbrs)
-            weights.extend(w for _, w in nbrs)
-        return cls(n, indptr, np.array(indices, dtype=np.int64),
-                   np.array(weights, dtype=np.float64), int(c_max), X)
+        """Build from undirected (i, j, w) edges, any (k, 3) array-like.
+
+        Edge order does not matter. Raises DataError on endpoints that are
+        not node ids in [0, n), on self-loops, and on a pair given twice in
+        either orientation (a self-loop stores the same entry twice).
+        """
+        edges = np.asarray(triples, dtype=np.float64).reshape(-1, 3)
+        ends = edges[:, :2]
+        if n < 0 or np.any((ends != np.floor(ends)) | (ends < 0) | (ends >= n)):
+            raise DataError(f"edge endpoint not a node id in [0, {n})")
+        i, j = ends.T.astype(np.int64)
+        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        again = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        if again.any():
+            raise DataError(f"self-loop or duplicate edge at node {rows[1:][again][0]}")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        return cls(int(n), indptr, cols, np.tile(edges[:, 2], 2)[order], int(c_max), X)
 
 
 def build_cograph(train: SessionCorpus, catalog: ItemCatalog,
@@ -92,39 +102,45 @@ def build_cograph(train: SessionCorpus, catalog: ItemCatalog,
     if not train.sessions:
         raise DataError("cannot build a graph from an empty corpus")
     n = len(catalog)
-    counts: dict[tuple[int, int], int] = {}
-    for s in train.sessions:
-        distinct = sorted(set(s.items))
-        if distinct and (distinct[0] < 0 or distinct[-1] >= n):
-            raise DataError(f"session {s.session_id} references items outside the catalog")
-        for i, j in combinations(distinct, 2):
-            counts[(i, j)] = counts.get((i, j), 0) + 1
-    if not counts:
+    items = np.array([x for s in train.sessions for x in s.items], dtype=np.int64)
+    session = np.repeat(np.arange(len(train.sessions)), [len(s.items) for s in train.sessions])
+    outside = (items < 0) | (items >= n)
+    if outside.any():
+        sid = train.sessions[session[outside][0]].session_id
+        raise DataError(f"session {sid} references items outside the catalog")
+    # distinct items of each session, sorted by (session, item)
+    keys = np.unique(session * n + items)
+    session, items = keys // n, keys % n
+    # every position pairs with each later position of its session
+    partners = np.searchsorted(session, session, side="right") - np.arange(len(items)) - 1
+    left = np.repeat(np.arange(len(items)), partners)
+    right = left + 1 + np.arange(len(left)) - np.repeat(np.cumsum(partners) - partners, partners)
+    pairs, counts = np.unique(items[left] * n + items[right], return_counts=True)
+    if not len(pairs):
         raise DegenerateGraphError("no session contains two distinct items")
-    c_max = max(counts.values())
-    triples = [(i, j, c / c_max) for (i, j), c in sorted(counts.items())]
-    return CoGraph.from_edges(n, triples, c_max=c_max, X=X)
+    c_max = int(counts.max())
+    edges = np.column_stack([pairs // n, pairs % n, counts / c_max])
+    return CoGraph.from_edges(n, edges, c_max=c_max, X=X)
 
 
 def validate_cograph(graph: CoGraph):
-    """Raise DataError when a structural invariant is violated."""
-    n = graph.n
-    seen = {}
-    for i in range(n):
-        nbrs, ws = graph.neighbors(i)
-        if np.any(np.diff(nbrs) <= 0):
-            raise DataError(f"node {i}: neighbor list not strictly ascending")
-        for j, w in zip(nbrs, ws):
-            if j == i:
-                raise DataError(f"self-loop at node {i}")
-            if not (0.0 < w <= 1.0):
-                raise DataError(f"edge ({i},{j}): weight {w} outside (0, 1]")
-            seen[(int(i), int(j))] = float(w)
-    for (i, j), w in seen.items():
-        if seen.get((j, i)) != w:
-            raise DataError(f"asymmetric edge ({i},{j})")
-    if len(seen) and max(seen.values()) != 1.0:
+    """Raise DataError when a structural invariant is violated.
+
+    A valid graph is exactly the CSR that `from_edges` builds from its own
+    upper triangle: symmetric, loop-free, sorted rows, no duplicates.
+    """
+    indptr = graph.indptr
+    if (len(indptr) != graph.n + 1 or indptr[0] != 0 or np.any(np.diff(indptr) < 0)
+            or indptr[-1] != len(graph.indices) or len(graph.weights) != len(graph.indices)):
+        raise DataError("malformed CSR arrays")
+    if not np.all((graph.weights > 0.0) & (graph.weights <= 1.0)):
+        raise DataError("edge weight outside (0, 1]")
+    if len(graph.weights) and graph.weights.max() != 1.0:
         raise DataError("no edge carries the maximal weight 1.0")
+    rebuilt = CoGraph.from_edges(graph.n, np.column_stack(graph.upper()))
+    for name in ("indptr", "indices", "weights"):
+        if not np.array_equal(getattr(rebuilt, name), getattr(graph, name)):
+            raise DataError(f"{name} differ from the CSR rebuilt from the upper triangle")
 
 
 @dataclass
@@ -203,43 +219,38 @@ def sample_neighbors(graph: CoGraph, seeds, fanouts: tuple[int, int],
 def save_graph_text(graph: CoGraph, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{graph.n} {graph.num_edges} {graph.c_max}\n")
-        for i, j, w in graph.edge_triples():
-            fh.write(f"{i} {j} {w!r}\n")
+        fh.writelines(f"{i} {j} {w!r}\n" for i, j, w in graph.edge_triples())
 
 
 def load_graph_text(path) -> CoGraph:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty graph file")
-    n, m, c_max = (int(tok) for tok in lines[0].split())
-    triples = []
-    for line in lines[1:m + 1]:
-        i, j, w = line.split()
-        triples.append((int(i), int(j), float(w)))
-    if len(triples) != m:
-        raise DataError(f"{path}: expected {m} edges, found {len(triples)}")
-    return CoGraph.from_edges(n, triples, c_max=c_max)
+    header, *rows = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+    try:
+        n, m, c_max = (int(tok) for tok in header.split())
+        if len(rows) != m:
+            raise DataError(f"header says {m} edges, file has {len(rows)} edge lines")
+        edges = np.loadtxt(io.StringIO("\n".join(rows)), ndmin=2,
+                           comments=None) if m else np.zeros((0, 3))
+        if edges.shape != (m, 3):
+            raise DataError("every edge line must hold 'i j w'")
+    except ValueError as exc:   # DataError included
+        raise DataError(f"{path}: {exc}") from None
+    return CoGraph.from_edges(n, edges, c_max=c_max)
 
 
 def save_graph_binary(graph: CoGraph, path):
-    """Little-endian layout: magic 'COG1', u64 n, u64 edge_count, u64 c_max,
-    then per undirected edge (i < j): u64 i, u64 j, f64 weight."""
+    i, j, w = graph.upper()
     with open(path, "wb") as fh:
-        fh.write(_BIN_MAGIC)
-        fh.write(struct.pack("<QQQ", graph.n, graph.num_edges, graph.c_max))
-        for i, j, w in graph.edge_triples():
-            fh.write(struct.pack("<QQd", i, j, w))
+        fh.write(_BIN_HEADER.pack(_BIN_MAGIC, graph.n, len(i), graph.c_max))
+        fh.write(np.rec.fromarrays([i, j, w], dtype=_BIN_EDGE).tobytes())
 
 
 def load_graph_binary(path) -> CoGraph:
     data = Path(path).read_bytes()
-    if data[:4] != _BIN_MAGIC:
+    if len(data) < _BIN_HEADER.size or data[:4] != _BIN_MAGIC:
         raise DataError(f"{path}: not a co-occurrence graph file")
-    n, m, c_max = struct.unpack_from("<QQQ", data, 4)
-    triples = []
-    offset = 4 + 24
-    for _ in range(m):
-        i, j, w = struct.unpack_from("<QQd", data, offset)
-        offset += 24
-        triples.append((int(i), int(j), w))
-    return CoGraph.from_edges(int(n), triples, c_max=int(c_max))
+    _, n, m, c_max = _BIN_HEADER.unpack_from(data)
+    if len(data) != _BIN_HEADER.size + m * _BIN_EDGE.itemsize:
+        raise DataError(f"{path}: {len(data)} bytes do not hold the {m} edges of its header")
+    records = np.frombuffer(data, dtype=_BIN_EDGE, offset=_BIN_HEADER.size)
+    edges = np.column_stack([records["i"], records["j"], records["w"]])
+    return CoGraph.from_edges(n, edges, c_max=c_max)

@@ -162,31 +162,25 @@ class SkipEncoder:
             raise ShapeError("encode", X.shape, (self.d_feat,))
         layer1_nodes = sample.layer1_nodes           # nodes needing H1
         input_nodes = sample.input_nodes             # nodes needing raw features
-        pos_in_inputs = {int(g): i for i, g in enumerate(input_nodes)}
-        pos_in_layer1 = {int(g): i for i, g in enumerate(layer1_nodes)}
-        pos_in_seeds = {int(g): i for i, g in enumerate(sample.seeds)}
-
+        # relabel global ids to rows of these sorted node arrays
         x_in = dc.Tensor(X[input_nodes])
         h_in = self._layer_input(0, x_in, x_in)
         h1_edges = (
-            np.array([pos_in_layer1[int(d)] for d in sample.hop2_dst if int(d) in pos_in_layer1],
-                     dtype=np.int64),
-            np.array([pos_in_inputs[int(s)] for d, s in zip(sample.hop2_dst, sample.hop2_src)
-                      if int(d) in pos_in_layer1], dtype=np.int64),
-            np.array([w for d, w in zip(sample.hop2_dst, sample.hop2_w)
-                      if int(d) in pos_in_layer1]),
+            np.searchsorted(layer1_nodes, sample.hop2_dst),
+            np.searchsorted(input_nodes, sample.hop2_src),
+            sample.hop2_w.astype(np.float64),
         )
-        h_dst_l1 = dc.gather_rows(h_in, [pos_in_inputs[int(g)] for g in layer1_nodes])
+        h_dst_l1 = dc.gather_rows(h_in, np.searchsorted(input_nodes, layer1_nodes))
         h1 = self.layers[0].forward(h_dst_l1, h_in, h1_edges, len(layer1_nodes))
 
         x_l1 = dc.Tensor(X[layer1_nodes])
         h2_in = self._layer_input(1, h1, x_l1)
         h2_edges = (
-            np.array([pos_in_seeds[int(d)] for d in sample.hop1_dst], dtype=np.int64),
-            np.array([pos_in_layer1[int(s)] for s in sample.hop1_src], dtype=np.int64),
+            np.searchsorted(sample.seeds, sample.hop1_dst),
+            np.searchsorted(layer1_nodes, sample.hop1_src),
             sample.hop1_w.astype(np.float64),
         )
-        h_dst_l2 = dc.gather_rows(h2_in, [pos_in_layer1[int(g)] for g in sample.seeds])
+        h_dst_l2 = dc.gather_rows(h2_in, np.searchsorted(layer1_nodes, sample.seeds))
         return self.layers[1].forward(h_dst_l2, h2_in, h2_edges, len(sample.seeds))
 
 
@@ -230,32 +224,23 @@ def inductive_embed(encoder: SkipEncoder, graph: CoGraph, X: np.ndarray,
     if feature_row.shape[0] != encoder.d_feat:
         raise ShapeError("inductive_embed", feature_row.shape, (encoder.d_feat,))
     new_id = graph.n
-    nbr = sorted((int(j), float(w)) for j, w in neighbors)
+    nbr = np.asarray(neighbors, dtype=np.float64).reshape(-1, 2)
+    nbr = nbr[np.lexsort((nbr[:, 1], nbr[:, 0]))]
+    hop1_src = nbr[:, 0].astype(np.int64)
+    hop1_w = nbr[:, 1]
+    hop1_dst = np.full(len(nbr), new_id, dtype=np.int64)
     X_ext = np.vstack([X, feature_row[None, :]])
 
-    hop1_dst = np.full(len(nbr), new_id, dtype=np.int64)
-    hop1_src = np.array([j for j, _ in nbr], dtype=np.int64)
-    hop1_w = np.array([w for _, w in nbr], dtype=np.float64)
-
-    # hop-2 edges: the new node's layer-1 aggregation plus each neighbor's
-    # full original neighborhood, ordered by destination then source
-    h2_dst, h2_src, h2_w = [], [], []
-    for node in sorted({new_id} | {j for j, _ in nbr}):
-        if node == new_id:
-            h2_dst.extend([new_id] * len(nbr))
-            h2_src.extend(j for j, _ in nbr)
-            h2_w.extend(w for _, w in nbr)
-        else:
-            nbrs, ws = graph.neighbors(node)
-            h2_dst.extend([node] * len(nbrs))
-            h2_src.extend(int(v) for v in nbrs)
-            h2_w.extend(float(v) for v in ws)
-
+    # hop-2 edges: each neighbor's full original neighborhood, then the new
+    # node's layer-1 aggregation (new_id sorts last), ordered by (dst, src)
+    h2_dst, h2_src, h2_w = graph.directed_edges()
+    rows = np.isin(h2_dst, hop1_src)
+    h2_dst, h2_src, h2_w = h2_dst[rows], h2_src[rows], h2_w[rows]
     sample = NeighborSample(
         seeds=np.array([new_id], dtype=np.int64),
         hop1_dst=hop1_dst, hop1_src=hop1_src, hop1_w=hop1_w,
-        hop2_dst=np.array(h2_dst, dtype=np.int64),
-        hop2_src=np.array(h2_src, dtype=np.int64),
-        hop2_w=np.array(h2_w, dtype=np.float64),
+        hop2_dst=np.concatenate([h2_dst, hop1_dst]),
+        hop2_src=np.concatenate([h2_src, hop1_src]),
+        hop2_w=np.concatenate([h2_w, hop1_w]),
     )
     return encoder.encode_sampled(X_ext, sample).data[0].copy()

@@ -207,14 +207,15 @@ def run_experiment(pipeline, repeats: int = DEFAULT_REPEATS,
 
     The pipeline callable executes preprocess -> graph -> embed ->
     recommend/train -> evaluate and returns per-query metric vectors.
-    Failures are re-raised with the run index attached.
+    Failures are re-raised as they are, with the run index prefixed.
     """
     report = MetricReport()
     for run_idx in range(repeats):
         try:
             per_query = pipeline(master_seed + run_idx)
         except Exception as exc:
-            raise type(exc)(f"run {run_idx}: {exc}") from exc
+            exc.args = (f"run {run_idx}: {exc}",)
+            raise
         report.add_run(per_query)
     return report
 

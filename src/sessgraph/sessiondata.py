@@ -103,13 +103,6 @@ class SessionCorpus:
     def __len__(self):
         return len(self.sessions)
 
-    def item_occurrences(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for s in self.sessions:
-            for it in s.items:
-                counts[it] = counts.get(it, 0) + 1
-        return counts
-
 
 @dataclass
 class CorpusSplit:

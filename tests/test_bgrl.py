@@ -287,3 +287,29 @@ def test_embedding_export_roundtrip(tmp_path):
     assert idt == ids and idb == ids
     assert np.array_equal(et, emb)
     assert np.array_equal(eb, emb)
+
+
+@pytest.mark.parametrize("case", ["magic", "short", "truncated", "trailing", "huge_header",
+                                  "bad_id"])
+def test_embedding_binary_reader_rejects_corrupt_files(tmp_path, case):
+    import struct
+
+    from sessgraph.errors import DataError
+    from sessgraph.sessiondata import ItemCatalog
+
+    ids = ["a", "b", "c"]
+    path = tmp_path / "e.bin"
+    bgrl.save_embeddings_binary(path, np.ones((3, 2)),
+                                ItemCatalog(ids, {e: i for i, e in enumerate(ids)}))
+    data = path.read_bytes()
+    bad = {
+        "magic": b"EMB2" + data[4:],
+        "short": data[:12],
+        "truncated": data[:-3],
+        "trailing": data + b"\0",
+        "huge_header": data[:4] + struct.pack("<QQ", 10**6, 10**6) + data[20:],
+        "bad_id": data[:22] + b"\xff" + data[23:],
+    }[case]
+    path.write_bytes(bad)
+    with pytest.raises(DataError):
+        bgrl.load_embeddings_binary(path)

@@ -216,3 +216,31 @@ def test_missing_dataset_exit_code(tmp_path):
                         encoding="utf-8")
     rc = cli.main(["preprocess", "--config", str(cfg_path), "--out", str(tmp_path)])
     assert rc == 3
+
+
+def test_embeddings_from_another_preprocess_run_exit_code(tmp_path):
+    def preprocess(n_items):
+        log = write_log(tmp_path / f"log{n_items}.csv",
+                        clustered_interactions(np.random.default_rng(n_items),
+                                               n_items=n_items, n_clusters=4,
+                                               n_sessions=150, min_len=3, max_len=6))
+        cfg = {
+            "dataset": {"path": str(log),
+                        "features": [{"name": n, "kind": k}
+                                     for n, k in clustered_schema().features]},
+            "embed": {"dim": 4, "hidden_dim": 4, "epochs": 1, "fanouts": None},
+            "knn": {"gcnext": {"enabled": True}},
+            "eval": {"repeats": 1},
+        }
+        cfg_path = tmp_path / f"config{n_items}.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        args = ["--config", str(cfg_path), "--out", str(tmp_path / "art")]
+        assert cli.main(["preprocess"] + args) == 0
+        return args
+
+    args = preprocess(40)
+    assert cli.main(["build-graph"] + args) == 0
+    assert cli.main(["train-embed"] + args) == 0
+    assert cli.main(["eval-knn"] + args) == 0
+    args = preprocess(48)
+    assert cli.main(["eval-knn"] + args) == 3

@@ -1,12 +1,17 @@
 """Co-occurrence graph construction against a brute-force pairwise counter,
 sampling behavior, and serialization round-trips."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from sessgraph import cograph as cg
 from sessgraph import sessiondata as sd
 from sessgraph.errors import DataError, DegenerateGraphError
+
+from corpusgen import clustered_interactions
 
 
 def _corpus(item_lists):
@@ -183,3 +188,131 @@ def test_binary_loader_rejects_garbage(tmp_path):
     p.write_bytes(b"nope")
     with pytest.raises(DataError):
         cg.load_graph_binary(p)
+
+
+# ---------------------------------------------------------------------------
+# the CSR constructor, validation and reader robustness
+# ---------------------------------------------------------------------------
+
+def _corpusgen_graph():
+    """The graph of a fixed corpusgen log, sessionized and filtered."""
+    rng = np.random.default_rng(0)
+    log = clustered_interactions(rng, n_items=60, n_clusters=4, n_sessions=220,
+                                 min_len=3, max_len=6)
+    corpus, catalog = sd.filter_corpus(sd.sessionize(log))
+    return cg.build_cograph(corpus, catalog)
+
+
+def test_graph_files_are_pinned(tmp_path):
+    """graph.txt and graph.bin hold only integers and divisions of integers,
+    so their bytes are the same on every platform."""
+    graph = _corpusgen_graph()
+    cg.save_graph_text(graph, tmp_path / "graph.txt")
+    cg.save_graph_binary(graph, tmp_path / "graph.bin")
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("graph.txt", "graph.bin")}
+    assert digest == {
+        "graph.txt": "713f062e094d39788d41dd44be677c70479c012d81d250d40d7aee1128311486",
+        "graph.bin": "87244132fa135449f8ae3aaf01fda747d1baa29242fb8f5a81553d98b71c883d",
+    }
+
+
+def test_from_edges_ignores_edge_order_and_orientation():
+    graph = _corpusgen_graph()
+    edges = np.column_stack(graph.upper())
+    rng = np.random.default_rng(4)
+    shuffled = edges[rng.permutation(len(edges))]
+    flip = rng.uniform(size=len(edges)) < 0.5
+    shuffled[flip, :2] = shuffled[flip, 1::-1]
+    rebuilt = cg.CoGraph.from_edges(graph.n, shuffled, c_max=graph.c_max)
+    assert np.array_equal(rebuilt.indptr, graph.indptr)
+    assert np.array_equal(rebuilt.indices, graph.indices)
+    assert np.array_equal(rebuilt.weights, graph.weights)
+    assert rebuilt.edge_triples() == graph.edge_triples()
+
+
+@pytest.mark.parametrize("triples, match", [
+    ([(1, 1, 1.0)], "self-loop"),
+    ([(0, 1, 1.0), (1, 0, 0.5)], "duplicate"),
+    ([(0, 1, 1.0), (0, 1, 1.0)], "duplicate"),
+    ([(0, 3, 1.0)], "node id"),
+    ([(-1, 1, 1.0)], "node id"),
+    ([(0.5, 1, 1.0)], "node id"),
+    ([(0, float("nan"), 1.0)], "node id"),
+])
+def test_from_edges_rejects_bad_edges(triples, match):
+    with pytest.raises(DataError, match=match):
+        cg.CoGraph.from_edges(3, triples, c_max=1)
+
+
+def _corrupt(graph, **arrays):
+    fields = dict(indptr=graph.indptr.copy(), indices=graph.indices.copy(),
+                  weights=graph.weights.copy())
+    fields.update(arrays)
+    return cg.CoGraph(graph.n, c_max=graph.c_max, **fields)
+
+
+def test_validate_rejects_hand_corrupted_graphs():
+    graph = cg.CoGraph.from_edges(4, [(0, 1, 1.0), (0, 2, 0.5), (2, 3, 0.25)], c_max=4)
+    cg.validate_cograph(graph)
+    # indices: 0 -> [1, 2], 1 -> [0], 2 -> [0, 3], 3 -> [2]
+    asymmetric = graph.weights.copy()
+    asymmetric[4] = 0.75                       # (2, 0) no longer matches (0, 2)
+    unsorted = graph.indices.copy()
+    unsorted[[0, 1]] = unsorted[[1, 0]]
+    loop = graph.indices.copy()
+    loop[5] = 3                                # (3, 2) becomes (3, 3)
+    heavy = graph.weights.copy()
+    heavy[[0, 2]] = 1.5
+    for bad in (_corrupt(graph, weights=asymmetric), _corrupt(graph, indices=unsorted),
+                _corrupt(graph, indices=loop), _corrupt(graph, weights=heavy),
+                _corrupt(graph, weights=graph.weights / 2),
+                _corrupt(graph, indptr=graph.indptr[:-1])):
+        with pytest.raises(DataError):
+            cg.validate_cograph(bad)
+
+
+def _graph_files(tmp_path):
+    graph = cg.CoGraph.from_edges(4, [(0, 1, 1.0), (0, 2, 0.5), (2, 3, 0.25)], c_max=4)
+    cg.save_graph_text(graph, tmp_path / "g.txt")
+    cg.save_graph_binary(graph, tmp_path / "g.bin")
+    return (tmp_path / "g.txt").read_text(), (tmp_path / "g.bin").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["magic", "short", "truncated", "trailing", "huge_m",
+                                  "endpoint"])
+def test_binary_reader_rejects_corrupt_files(tmp_path, case):
+    _, data = _graph_files(tmp_path)
+    bad = {
+        "magic": b"COG2" + data[4:],
+        "short": data[:10],
+        "truncated": data[:-5],
+        "trailing": data + b"\0",
+        "huge_m": data[:12] + struct.pack("<Q", 10**12) + data[20:],
+        "endpoint": data[:28] + struct.pack("<Q", 9) + data[36:],
+    }[case]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(bad)
+    with pytest.raises(DataError):
+        cg.load_graph_binary(path)
+
+
+@pytest.mark.parametrize("case", ["empty", "header", "short_header", "truncated",
+                                  "trailing", "huge_m", "row", "endpoint"])
+def test_text_reader_rejects_corrupt_files(tmp_path, case):
+    text, _ = _graph_files(tmp_path)
+    header, *rows = text.splitlines()
+    bad = {
+        "empty": [],
+        "header": ["4 x 1"] + rows,
+        "short_header": ["4 3"] + rows,
+        "truncated": [header] + rows[:-1],
+        "trailing": [header] + rows + ["0 3 1.0"],
+        "huge_m": ["4 1000000000000 4"] + rows,
+        "row": [header] + rows[:-1] + ["2 3"],
+        "endpoint": [header] + rows[:-1] + ["2 7 0.25"],
+    }[case]
+    path = tmp_path / "bad.txt"
+    path.write_text("".join(line + "\n" for line in bad))
+    with pytest.raises(DataError):
+        cg.load_graph_text(path)

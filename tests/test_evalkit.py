@@ -243,3 +243,16 @@ def test_table_lines_format():
     lines = report.table_lines()
     assert lines[0] == "metric\trun0\trun1\tmean"
     assert lines[1] == "HR@10\t0.500000\t1.000000\t0.750000"
+
+
+def test_run_errors_keep_their_type():
+    from sessgraph.errors import RowError
+
+    def pipeline(seed):
+        if seed == 3:
+            raise RowError(12, "bad field")
+        return {"HR@10": np.array([1.0])}
+
+    with pytest.raises(RowError, match=r"run 1: row 12: bad field") as exc:
+        ek.run_experiment(pipeline, repeats=5, master_seed=2)
+    assert exc.value.row == 12
