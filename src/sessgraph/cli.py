@@ -115,12 +115,17 @@ def save_corpus(path: Path, corpus: SessionCorpus):
 
 def load_corpus(path: Path) -> SessionCorpus:
     sessions = []
-    for line in _require(path).read_text(encoding="utf-8").splitlines():
+    lines = _require(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split()
         if len(parts) < 2:
-            raise DataError(f"{path}: malformed corpus line {line!r}")
-        sessions.append(Session(parts[0], tuple(int(x) for x in parts[1:-1]),
-                                int(parts[-1])))
+            raise DataError(f"{path}:{lineno}: malformed corpus line {line!r}")
+        try:
+            items, start_ts = tuple(int(x) for x in parts[1:-1]), int(parts[-1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer item or timestamp in "
+                            f"{line!r}") from None
+        sessions.append(Session(parts[0], items, start_ts))
     return SessionCorpus(sessions)
 
 
@@ -134,16 +139,30 @@ def save_catalog(out: Path, catalog: ItemCatalog, X: np.ndarray):
 
 
 def _catalog_ids(out: Path) -> list[str]:
-    lines = _require(out / CATALOG_IDS).read_text(encoding="utf-8").splitlines()
-    return [line.split(maxsplit=1)[1] for line in lines]
+    path = _require(out / CATALOG_IDS)
+    ids = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        parts = line.split(maxsplit=1)
+        if len(parts) < 2:
+            raise DataError(f"{path}:{lineno}: catalog line without an external id: {line!r}")
+        ids.append(parts[1])
+    return ids
 
 
 def load_catalog(out: Path) -> tuple[ItemCatalog, np.ndarray]:
     ids = _catalog_ids(out)
-    rows = [
-        [float(v) for v in line.split()]
-        for line in _require(out / CATALOG_FEATURES).read_text(encoding="utf-8").splitlines()
-    ]
+    path = _require(out / CATALOG_FEATURES)
+    rows = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        try:
+            rows.append([float(v) for v in line.split()])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric feature in {line!r}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise DataError(f"{path}:{lineno}: {len(rows[-1])} features, "
+                            f"line 1 has {len(rows[0])}")
+    if rows and len(rows) != len(ids):
+        raise DataError(f"{path}: {len(rows)} feature rows for {len(ids)} ids in {CATALOG_IDS}")
     X = np.array(rows) if rows else np.zeros((len(ids), 0))
     return ItemCatalog(ids, {e: i for i, e in enumerate(ids)}), X
 
@@ -284,13 +303,24 @@ def _load_embeddings(cfg: dict, out: Path, task: str) -> np.ndarray | None:
     return emb
 
 
+def _seed_free(compute):
+    """A run_experiment pipeline for a computation that draws no random
+    numbers: kNN recommendation ignores the seed, so every repeat would redo
+    identical work. It runs on the first call (so a failure still carries
+    "run 0") and every repeat gets the same metric vectors."""
+    metrics = []
+
+    def pipeline(seed):
+        if not metrics:
+            metrics.append(compute())
+        return metrics[0]
+    return pipeline
+
+
 def run_eval_knn(cfg: dict, out: Path) -> evalkit.MetricReport:
     split = load_split(out)
     embeddings = _load_embeddings(cfg, out, "knn")
-
-    def pipeline(seed):
-        return _knn_query_metrics(cfg, split, embeddings, "test")
-
+    pipeline = _seed_free(lambda: _knn_query_metrics(cfg, split, embeddings, "test"))
     report = evalkit.run_experiment(pipeline, cfg["eval"]["repeats"],
                                     cfg["eval"]["master_seed"])
     _write_report(out, "eval-knn", cfg, report)
@@ -390,8 +420,7 @@ def run_compare(cfg_a: dict, cfg_b: dict, out_a: Path, out_b: Path, out: Path,
         split = load_split(art_out)
         embeddings = _load_embeddings(cfg, art_out, cfg["task"])
         if cfg["task"] == "knn":
-            def pipeline(seed):
-                return _knn_query_metrics(cfg, split, embeddings, "test")
+            pipeline = _seed_free(lambda: _knn_query_metrics(cfg, split, embeddings, "test"))
         else:
             catalog, _ = load_catalog(art_out)
 

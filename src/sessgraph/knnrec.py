@@ -11,12 +11,34 @@ distance this reduces exactly to the base behavior.
 find_neighbors is the integration point for further similarity schemes
 (decay-weighted variants and the like): they plug in as alternative session
 scoring inside it without touching indexing or item scoring.
+
+Index layout (built once by index_sessions; a query then does array work
+bounded by its candidate pool, never a pass over all training sessions):
+
+- Recency ranks. ``order[r]`` is the position of the session of recency rank
+  ``r`` (0 = newest; ties by session id descending, then by position) and
+  ``rank`` is its inverse.
+- Session items, CSR. The distinct items of the session at position ``p``
+  are ``items[indptr[p]:indptr[p + 1]]``, ascending.
+- Newest-first postings. The ranks of the sessions containing item ``x``
+  are ``post_ranks[post_indptr[x]:post_indptr[x + 1]]``, ascending. The
+  candidate pool is the ``m_sample`` smallest ranks of the union of the
+  input items' postings (of the matched items' postings with
+  ``expand_pool``), and each posting list is cut to its first ``m_sample``
+  entries before the union. The cut is exact: every session newer than a
+  pool member s in a list containing s is also in the union, so fewer than
+  ``m_sample`` sessions precede s in that list.
+- Unit rows. The index caches one EmbeddingMatcher, keyed by the identity of
+  the embeddings array and by the threshold, so the table is normalised once
+  and not on every query; the matcher keeps the match rows of its last query
+  for score_items.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -73,50 +95,126 @@ class IndexedSession:
     start_ts: int
 
 
-@dataclass
-class SessionIndex:
-    sessions: list[IndexedSession]
-    by_item: dict[int, list[int]]          # item -> positions into sessions
-    recency_order: list[int]               # newest first, ties by id descending
-
-
-def index_sessions(train: SessionCorpus) -> SessionIndex:
-    """Inverted item index plus a recency ranking of the training sessions."""
-    if not train.sessions:
-        raise DataError("cannot index an empty corpus")
-    sessions = [
-        IndexedSession(s.session_id, tuple(s.items), frozenset(s.items), s.start_ts)
-        for s in train.sessions
-    ]
-    by_item: dict[int, list[int]] = {}
-    for pos, s in enumerate(sessions):
-        for item in s.item_set:
-            by_item.setdefault(item, []).append(pos)
-    recency = sorted(range(len(sessions)),
-                     key=lambda p: (sessions[p].start_ts, sessions[p].session_id),
-                     reverse=True)
-    return SessionIndex(sessions, by_item, recency)
-
-
 class EmbeddingMatcher:
     """Threshold matching on cosine distance between item embeddings."""
 
     def __init__(self, embeddings: np.ndarray, threshold: float):
         emb = np.asarray(embeddings, dtype=np.float64)
         norms = np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-12)
+        self.source = embeddings
         self.unit = emb / norms
         self.threshold = float(threshold)
         self.m = emb.shape[0]
+        self._rows_key: tuple[int, ...] | None = None
+        self._rows: np.ndarray | None = None
 
     def check_items(self, items):
-        for it in items:
-            if it < 0 or it >= self.m:
-                raise ConfigError(f"no embedding row for item {it}")
+        items = np.fromiter(items, np.int64)
+        if items.size and (items.min() < 0 or items.max() >= self.m):
+            bad = items[(items < 0) | (items >= self.m)][0]
+            raise ConfigError(f"no embedding row for item {bad}")
 
     def match_row(self, item: int) -> np.ndarray:
         """Boolean mask over the catalog: cosine distance <= threshold."""
         sims = self.unit @ self.unit[item]
         return (1.0 - sims) <= self.threshold + 1e-12
+
+    def match_rows(self, items: np.ndarray) -> np.ndarray:
+        """match_row of each of `items`, stacked; the last result is kept, so
+        find_neighbors and score_items of one query compute it once."""
+        key = tuple(items.tolist())
+        if key != self._rows_key:
+            self.check_items(items)
+            self._rows = np.array([self.match_row(x) for x in key]).reshape(len(key), self.m)
+            self._rows_key = key
+        return self._rows
+
+
+@dataclass(eq=False)
+class SessionIndex:
+    """Recency ranks, CSR session items and newest-first postings (see the
+    module docstring), plus the cached matcher."""
+
+    corpus: SessionCorpus
+    order: np.ndarray          # rank -> position
+    rank: np.ndarray           # position -> rank
+    indptr: np.ndarray         # position -> slice of items
+    items: np.ndarray          # distinct items of each session, ascending
+    post_indptr: np.ndarray    # item -> slice of post_ranks
+    post_ranks: np.ndarray     # ranks of the sessions holding each item, ascending
+    _matcher: EmbeddingMatcher | None = field(default=None, repr=False)
+
+    @property
+    def n_items(self) -> int:
+        return len(self.post_indptr) - 1
+
+    @cached_property
+    def sessions(self) -> list[IndexedSession]:
+        return [IndexedSession(s.session_id, tuple(s.items), frozenset(s.items), s.start_ts)
+                for s in self.corpus.sessions]
+
+    @cached_property
+    def by_item(self) -> dict[int, list[int]]:
+        """item -> ascending positions into sessions."""
+        positions = np.repeat(np.arange(len(self.order)), np.diff(self.indptr))
+        by = np.argsort(self.items, kind="stable")
+        keys, starts = np.unique(self.items[by], return_index=True)
+        groups = np.split(positions[by], starts[1:])
+        return {int(x): g.tolist() for x, g in zip(keys, groups)}
+
+    def matcher(self, embeddings: np.ndarray, threshold: float) -> EmbeddingMatcher:
+        """The cached matcher for `embeddings` (by identity) at `threshold`."""
+        m = self._matcher
+        if m is None or m.source is not embeddings or m.threshold != float(threshold):
+            m = self._matcher = EmbeddingMatcher(embeddings, threshold)
+        return m
+
+
+def _csr_gather(indptr: np.ndarray, values: np.ndarray, rows: np.ndarray,
+                cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated slices ``values[indptr[r]:indptr[r + 1]]`` of `rows`, each
+    cut to its first `cap` entries: (slice lengths, values)."""
+    lo = indptr[rows]
+    lengths = indptr[rows + 1] - lo
+    if cap is not None:
+        lengths = np.minimum(lengths, cap)
+    ends = np.cumsum(lengths)
+    idx = np.repeat(lo - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
+    return lengths, values[idx]
+
+
+def index_sessions(train: SessionCorpus) -> SessionIndex:
+    """Recency ranks, CSR session items and newest-first postings of the
+    training sessions."""
+    sessions = train.sessions
+    n = len(sessions)
+    if not n:
+        raise DataError("cannot index an empty corpus")
+    lengths = np.fromiter((len(s.items) for s in sessions), np.int64, n)
+    flat = np.fromiter(chain.from_iterable(s.items for s in sessions), np.int64,
+                       int(lengths.sum()))
+    if flat.size and flat.min() < 0:
+        raise DataError(f"negative item id {flat.min()} in the indexed sessions")
+    start_ts = np.fromiter((s.start_ts for s in sessions), np.int64, n)
+    _, id_code = np.unique(np.array([s.session_id for s in sessions]), return_inverse=True)
+    order = np.lexsort((-id_code, -start_ts))      # stable: ties keep position order
+    rank = np.empty(n, np.int64)
+    rank[order] = np.arange(n)
+
+    pos = np.repeat(np.arange(n), lengths)
+    by = np.lexsort((flat, pos))
+    pos, flat = pos[by], flat[by]
+    keep = np.ones(flat.size, bool)
+    keep[1:] = (pos[1:] != pos[:-1]) | (flat[1:] != flat[:-1])
+    pos, items = pos[keep], flat[keep]
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(pos, minlength=n), out=indptr[1:])
+
+    n_items = int(items.max()) + 1 if items.size else 0
+    by = np.lexsort((rank[pos], items))
+    post_indptr = np.zeros(n_items + 1, np.int64)
+    np.cumsum(np.bincount(items, minlength=n_items), out=post_indptr[1:])
+    return SessionIndex(train, order, rank, indptr, items, post_indptr, rank[pos][by])
 
 
 @dataclass
@@ -125,27 +223,54 @@ class ScoredSession:
     similarity: float
 
 
-def _binary_cosine(a: frozenset, b: frozenset) -> float:
-    inter = len(a & b)
-    if inter == 0:
-        return 0.0
-    return inter / math.sqrt(len(a) * len(b))
+def _in_index(index: SessionIndex, items: np.ndarray) -> np.ndarray:
+    """Mask of the items within the index's item range."""
+    return (items >= 0) & (items < index.n_items)
+
+
+def _per_catalog_item(index: SessionIndex, matcher: EmbeddingMatcher | None,
+                      query: np.ndarray, values: np.ndarray, reduce) -> np.ndarray:
+    """For each catalog item, `reduce` of the `values` of the (distinct,
+    ascending) query items that match it; 0 where none does. Without GCNext
+    an item matches only itself."""
+    if matcher is not None:
+        return reduce(matcher.match_rows(query) * values[:, None], axis=0, initial=0)
+    out = np.zeros(index.n_items, np.int64)
+    inside = _in_index(index, query)
+    out[query[inside]] = values[inside]
+    return out
+
+
+def _matcher_for(index: SessionIndex, config: KnnConfig,
+                 embeddings: np.ndarray | None) -> EmbeddingMatcher | None:
+    if not config.gcnext.enabled:
+        return None
+    if embeddings is None:
+        raise ConfigError("gcnext is enabled but no embeddings were supplied")
+    return index.matcher(embeddings, config.gcnext.distance_threshold)
+
+
+def _session_items(index: SessionIndex, positions: np.ndarray,
+                   matcher: EmbeddingMatcher | None):
+    """(segment starts, lengths, items) of the sessions at `positions`; under
+    GCNext every item must have an embedding row."""
+    lengths, items = _csr_gather(index.indptr, index.items, positions)
+    if matcher is not None and items.size and items.max() >= matcher.m:
+        raise ConfigError(f"no embedding row for item {items.max()}")
+    return np.cumsum(lengths) - lengths, lengths, items
 
 
 def _candidate_pool(input_set, index: SessionIndex, config: KnnConfig,
-                    matcher: EmbeddingMatcher | None) -> list[int]:
-    positions = set()
-    for item in input_set:
-        positions.update(index.by_item.get(item, ()))
+                    matcher: EmbeddingMatcher | None) -> np.ndarray:
+    """Recency ranks (ascending) of the `m_sample` newest sessions holding an
+    input item, or with `expand_pool` an item matched by one."""
+    query = np.array(sorted(input_set), dtype=np.int64)
+    sources = query[_in_index(index, query)]
     if matcher is not None and config.gcnext.expand_pool:
-        combined = np.zeros(matcher.m, dtype=bool)
-        for item in input_set:
-            combined |= matcher.match_row(item)
-        matched_items = np.flatnonzero(combined)
-        for item in matched_items:
-            positions.update(index.by_item.get(int(item), ()))
-    pooled = [p for p in index.recency_order if p in positions]
-    return pooled[:config.m_sample]
+        matched = np.flatnonzero(matcher.match_rows(query).any(axis=0))
+        sources = np.union1d(sources, matched[_in_index(index, matched)])
+    _, ranks = _csr_gather(index.post_indptr, index.post_ranks, sources, config.m_sample)
+    return np.unique(ranks)[:config.m_sample]
 
 
 def find_neighbors(input_items, index: SessionIndex, config: KnnConfig,
@@ -158,77 +283,52 @@ def find_neighbors(input_items, index: SessionIndex, config: KnnConfig,
     input_set = frozenset(input_items)
     if not input_set:
         return []
-    matcher = None
-    if config.gcnext.enabled:
-        if embeddings is None:
-            raise ConfigError("gcnext is enabled but no embeddings were supplied")
-        matcher = EmbeddingMatcher(embeddings, config.gcnext.distance_threshold)
-        matcher.check_items(input_set)
-    pool = _candidate_pool(input_set, index, config, matcher)
-
-    scored = []
-    if matcher is None:
-        for pos in pool:
-            sim = _binary_cosine(input_set, index.sessions[pos].item_set)
-            if sim > 0:
-                scored.append(ScoredSession(pos, sim))
-    else:
-        masks = {item: matcher.match_row(item) for item in input_set}
-        for pos in pool:
-            cand = index.sessions[pos].item_set
-            matcher.check_items(cand)
-            pairs = sum(int(masks[x][y]) for x in input_set for y in cand)
-            if pairs == 0:
-                continue
-            r = pairs / math.sqrt(len(input_set) * len(cand))
-            scored.append(ScoredSession(pos, r))
-
-    recency_rank = {p: r for r, p in enumerate(index.recency_order)}
-    scored.sort(key=lambda s: (-s.similarity, recency_rank[s.position]))
-    return scored[:config.k]
-
-
-def _position_weight(input_items, session: IndexedSession, config: KnnConfig,
-                     matcher: EmbeddingMatcher | None,
-                     masks: dict[int, np.ndarray] | None) -> float:
-    """Linear weight from the most recent input item matched in the session."""
-    n = len(input_items)
-    for pos in range(n, 0, -1):
-        item = input_items[pos - 1]
-        if matcher is None:
-            hit = item in session.item_set
-        else:
-            hit = bool(np.any([masks[item][y] for y in session.item_set]))
-        if hit:
-            return pos / n
-    return 0.0
+    matcher = _matcher_for(index, config, embeddings)
+    query = np.array(sorted(input_set), dtype=np.int64)
+    # the pairs a candidate item adds: the number of input items it matches
+    matches = _per_catalog_item(index, matcher, query, np.ones_like(query), np.sum)
+    ranks = _candidate_pool(input_set, index, config, matcher)
+    if not ranks.size:
+        return []
+    positions = index.order[ranks]
+    starts, sizes, items = _session_items(index, positions, matcher)
+    pairs = np.add.reduceat(matches[items], starts)
+    hit = pairs > 0
+    sims = pairs[hit] / np.sqrt(len(input_set) * sizes[hit])
+    best = np.lexsort((ranks[hit], -sims))[:config.k]
+    return [ScoredSession(p, s)
+            for p, s in zip(positions[hit][best].tolist(), sims[best].tolist())]
 
 
 def score_items(neighbors: list[ScoredSession], input_items, index: SessionIndex,
                 config: KnnConfig, embeddings: np.ndarray | None = None) -> dict[int, float]:
-    """score(x) = sum over neighbor sessions containing x of sim * weight."""
+    """score(x) = sum over neighbor sessions containing x of sim * weight.
+
+    With position weighting the weight is p/n, where p is the 1-based input
+    position of the latest input item that matches an item of the session.
+    """
     if not neighbors:
         return {}
-    matcher = None
-    masks = None
-    if config.gcnext.enabled:
-        if embeddings is None:
-            raise ConfigError("gcnext is enabled but no embeddings were supplied")
-        matcher = EmbeddingMatcher(embeddings, config.gcnext.distance_threshold)
-        masks = {item: matcher.match_row(item) for item in set(input_items)}
-    scores: dict[int, float] = {}
-    for nb in neighbors:
-        session = index.sessions[nb.position]
-        if config.position_weighting:
-            w = _position_weight(tuple(input_items), session, config, matcher, masks)
-        else:
-            w = 1.0
-        contribution = nb.similarity * w
-        if contribution == 0.0:
-            continue
-        for item in session.item_set:
-            scores[item] = scores.get(item, 0.0) + contribution
-    return scores
+    matcher = _matcher_for(index, config, embeddings)
+    positions = np.array([nb.position for nb in neighbors], dtype=np.int64)
+    contribution = np.array([nb.similarity for nb in neighbors], dtype=np.float64)
+    starts, lengths, items = _session_items(index, positions, matcher)
+    if config.position_weighting:
+        inputs = np.asarray(tuple(input_items), dtype=np.int64)
+        n = len(inputs)
+        # each distinct input item and the 1-based position of its last occurrence
+        query, first_from_end = np.unique(inputs[::-1], return_index=True)
+        last = n - first_from_end
+        latest = _per_catalog_item(index, matcher, query, last, np.max)
+        contribution = contribution * (np.maximum.reduceat(latest[items], starts) / n)
+    weights = np.repeat(contribution, lengths)
+    live = weights != 0.0
+    items, weights = items[live], weights[live]
+    # bincount adds in array order, so each item's score sums its
+    # contributions in neighbour order
+    totals = np.bincount(items, weights=weights)
+    scored = np.unique(items)
+    return dict(zip(scored.tolist(), totals[scored].tolist()))
 
 
 @dataclass(frozen=True)
@@ -247,6 +347,12 @@ class RankedList:
 def recommend(input_items, index: SessionIndex, config: KnnConfig,
               embeddings: np.ndarray | None = None,
               k_rec: int | None = None) -> RankedList:
+    """The top `k_rec` items for one input session.
+
+    Under GCNext the index caches the unit rows of `embeddings`, keyed by the
+    identity of the array: to serve changed embeddings, pass a new array
+    rather than editing the one given before in place.
+    """
     if len(tuple(input_items)) < 1:
         raise DataError("input session must contain at least one item")
     k_rec = config.k_rec if k_rec is None else k_rec
@@ -255,8 +361,10 @@ def recommend(input_items, index: SessionIndex, config: KnnConfig,
     if config.exclude_input_items:
         for item in set(input_items):
             scores.pop(item, None)
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return RankedList(tuple(ranked[:k_rec]))
+    items = np.fromiter(scores.keys(), np.int64, len(scores))
+    values = np.fromiter(scores.values(), np.float64, len(scores))
+    top = np.lexsort((items, -values))[:k_rec]
+    return RankedList(tuple(zip(items[top].tolist(), values[top].tolist())))
 
 
 def batch_recommend(queries: list[list[str]], index: SessionIndex, config: KnnConfig,

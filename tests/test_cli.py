@@ -2,6 +2,7 @@
 manifests, determinism, stage independence, exit codes."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from sessgraph import cli
 from sessgraph.config import DEFAULTS, config_hash, load_config, resolve_config
-from sessgraph.errors import ConfigError
+from sessgraph.errors import ConfigError, DataError
+from sessgraph.sessiondata import corpus_prefixes
 
 from corpusgen import clustered_interactions, clustered_schema, write_log
 
@@ -244,3 +246,64 @@ def test_embeddings_from_another_preprocess_run_exit_code(tmp_path):
     assert cli.main(["eval-knn"] + args) == 0
     args = preprocess(48)
     assert cli.main(["eval-knn"] + args) == 3
+
+
+def test_eval_knn_recommends_each_test_prefix_once(workdir, tmp_path, monkeypatch):
+    root, cfg_path, out = workdir
+    art = tmp_path / "art"
+    shutil.copytree(out, art)
+    cfg = load_config(cfg_path)
+    cfg["eval"]["repeats"] = 3
+    served = []
+    recommend = cli.knnrec.recommend
+
+    def counting(prefix, *args, **kwargs):
+        served.append(tuple(prefix))
+        return recommend(prefix, *args, **kwargs)
+
+    monkeypatch.setattr(cli.knnrec, "recommend", counting)
+    report = cli.run_eval_knn(cfg, art)
+    prefixes = corpus_prefixes(cli.load_split(art).test, cfg["preprocess"]["max_prefix_len"])
+    assert served == [p.prefix for p in prefixes]
+    assert all(len(runs) == 3 for runs in report.runs.values())
+
+
+def _write(path: Path, text: str) -> Path:
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("line", ["s1 4 x 100", "s1 4 5 1.5e9"])
+def test_corpus_with_non_integer_field_is_data_error(tmp_path, line):
+    path = _write(tmp_path / "train.sessions", f"s0 1 2 10\n{line}\n")
+    with pytest.raises(DataError, match=r"train\.sessions:2: non-integer"):
+        cli.load_corpus(path)
+
+
+def test_catalog_id_line_without_external_id_is_data_error(tmp_path):
+    _write(tmp_path / "catalog.ids", "0 a\n1\n")
+    with pytest.raises(DataError, match=r"catalog\.ids:2: catalog line without an external id"):
+        cli._catalog_ids(tmp_path)
+
+
+@pytest.mark.parametrize("features, message", [
+    ("1.0 2.0\n1.0 abc\n", r"catalog\.features:2: non-numeric feature"),
+    ("1.0 2.0\n1.0\n", r"catalog\.features:2: 1 features, line 1 has 2"),
+    ("1.0 2.0\n", r"catalog\.features: 1 feature rows for 2 ids"),
+])
+def test_bad_catalog_features_are_data_errors(tmp_path, features, message):
+    _write(tmp_path / "catalog.ids", "0 a\n1 b\n")
+    _write(tmp_path / "catalog.features", features)
+    with pytest.raises(DataError, match=message):
+        cli.load_catalog(tmp_path)
+
+
+def test_corrupt_corpus_exit_code(workdir, tmp_path, capsys):
+    root, cfg_path, out = workdir
+    art = tmp_path / "art"
+    shutil.copytree(out, art)
+    with open(art / "train.sessions", "a", encoding="utf-8") as fh:
+        fh.write("s-bad 1 two 100\n")
+    rc = cli.main(["build-graph", "--config", str(cfg_path), "--out", str(art)])
+    assert rc == 3
+    assert "train.sessions:" in capsys.readouterr().err
