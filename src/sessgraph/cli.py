@@ -12,6 +12,11 @@ versions), and echoes the resolved config. Stages:
     compare      paired significance test between two configs
     grid         parameter lattice ranked by validation MRR@20
 
+The four evaluating commands share one experiment function, `_experiment`:
+it builds the evaluation prefixes once and runs `eval.repeats` seeded runs of
+the configured task. kNN recommendation draws no random numbers, so its
+metrics are computed once per experiment and every repeat reports them.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
 
@@ -118,8 +123,8 @@ def load_corpus(path: Path) -> SessionCorpus:
     lines = _require(path).read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
         parts = line.split()
-        if len(parts) < 2:
-            raise DataError(f"{path}:{lineno}: malformed corpus line {line!r}")
+        if len(parts) < 3:
+            raise DataError(f"{path}:{lineno}: corpus line needs id, items, timestamp: {line!r}")
         try:
             items, start_ts = tuple(int(x) for x in parts[1:-1]), int(parts[-1])
         except ValueError:
@@ -248,10 +253,10 @@ def _train_config_from(cfg: dict, seed: int) -> bgrl.TrainConfig:
     )
 
 
-def run_train_embed(cfg: dict, out: Path, seed: int | None = None) -> dict:
-    seed = cfg["eval"]["master_seed"] if seed is None else seed
-    graph = load_graph_binary(_require(out / GRAPH_BINARY))
+def run_train_embed(cfg: dict, out: Path) -> dict:
+    seed = cfg["eval"]["master_seed"]
     catalog, X = load_catalog(out)
+    graph = load_graph_binary(_require(out / GRAPH_BINARY), nodes=len(catalog))
     graph.X = X
     result = bgrl.train_embeddings(graph, _train_config_from(cfg, seed))
     bgrl.save_embeddings_text(out / EMBED_TEXT, result.embeddings, catalog)
@@ -277,18 +282,6 @@ def _knn_config_from(cfg: dict) -> knnrec.KnnConfig:
     )
 
 
-def _knn_query_metrics(cfg: dict, split: CorpusSplit, embeddings, corpus_name: str):
-    corpus = getattr(split, corpus_name)
-    knn_cfg = _knn_config_from(cfg)
-    index = knnrec.index_sessions(split.train)
-    prefixes = corpus_prefixes(corpus, cfg["preprocess"]["max_prefix_len"])
-    if not prefixes:
-        raise DataError(f"no {corpus_name} prefixes to evaluate")
-    ranked = [knnrec.recommend(p.prefix, index, knn_cfg, embeddings) for p in prefixes]
-    targets = [p.target for p in prefixes]
-    return evalkit.query_metrics(ranked, targets, tuple(cfg["eval"]["k_values"]))
-
-
 def _load_embeddings(cfg: dict, out: Path, task: str) -> np.ndarray | None:
     """The embeddings.bin rows when `task` uses them (GCNext kNN, pretrained
     next-item init), after checking their ids against catalog.ids."""
@@ -303,78 +296,71 @@ def _load_embeddings(cfg: dict, out: Path, task: str) -> np.ndarray | None:
     return emb
 
 
-def _seed_free(compute):
-    """A run_experiment pipeline for a computation that draws no random
-    numbers: kNN recommendation ignores the seed, so every repeat would redo
-    identical work. It runs on the first call (so a failure still carries
-    "run 0") and every repeat gets the same metric vectors."""
-    metrics = []
+def _experiment(cfg: dict, out: Path, task: str, corpus_name: str = "test"
+                ) -> tuple[evalkit.MetricReport, list[str]]:
+    """The metric report of `task` ("knn" or "nextitem") on the prefixes of
+    one corpus over `eval.repeats` runs, plus the next-item epoch log lines.
+    Every evaluating command (eval-knn, train-next, compare, grid) runs this."""
+    split = load_split(out)
+    embeddings = _load_embeddings(cfg, out, task)
+    cap = cfg["preprocess"]["max_prefix_len"]
+    prefixes = corpus_prefixes(getattr(split, corpus_name), cap)
+    if not prefixes:
+        raise DataError(f"no {corpus_name} prefixes to evaluate")
+    ks = tuple(cfg["eval"]["k_values"])
+    logs: list[str] = []
+    if task == "knn":
+        knn_cfg = _knn_config_from(cfg)
+        metrics = []
 
-    def pipeline(seed):
-        if not metrics:
-            metrics.append(compute())
-        return metrics[0]
-    return pipeline
+        def pipeline(seed):
+            # kNN recommendation draws no random numbers, so every repeat
+            # would redo identical work. The metrics are computed on the first
+            # call (so a failure still carries "run 0") and every repeat gets
+            # the same vectors.
+            if not metrics:
+                index = knnrec.index_sessions(split.train)
+                ranked = [knnrec.recommend(p.prefix, index, knn_cfg, embeddings)
+                          for p in prefixes]
+                metrics.append(evalkit.query_metrics(ranked, [p.target for p in prefixes], ks))
+            return metrics[0]
+    else:
+        train_prefixes = corpus_prefixes(split.train, cap)
+        if not train_prefixes:
+            raise DataError("no train prefixes to train on")
+        val_prefixes = corpus_prefixes(split.validation, cap)
+        ni = cfg["nextitem"]
+        m = len(_catalog_ids(out))
+
+        def pipeline(seed):
+            if embeddings is not None:
+                table = nextitem.init_table(nextitem.PRETRAINED, m, embeddings.shape[1],
+                                            source=embeddings)
+            else:
+                table = nextitem.init_table(nextitem.SCALED_UNIFORM, m, cfg["embed"]["dim"],
+                                            rng=np.random.default_rng(seed))
+            model = nextitem.NextItemModel(table)
+            result = nextitem.train_next(
+                model, train_prefixes, val_prefixes,
+                nextitem.NextTrainConfig(epochs=ni["epochs"], lr=ni["lr"],
+                                         batch_size=ni["batch_size"], seed=seed))
+            logs.extend(f"seed={seed}\t{rec.as_line()}" for rec in result.records)
+            return evalkit.rank_metrics(
+                [model.target_rank(p.prefix, p.target) for p in prefixes], ks)
+
+    report = evalkit.run_experiment(pipeline, cfg["eval"]["repeats"],
+                                    cfg["eval"]["master_seed"])
+    return report, logs
 
 
 def run_eval_knn(cfg: dict, out: Path) -> evalkit.MetricReport:
-    split = load_split(out)
-    embeddings = _load_embeddings(cfg, out, "knn")
-    pipeline = _seed_free(lambda: _knn_query_metrics(cfg, split, embeddings, "test"))
-    report = evalkit.run_experiment(pipeline, cfg["eval"]["repeats"],
-                                    cfg["eval"]["master_seed"])
+    report, _ = _experiment(cfg, out, "knn")
     _write_report(out, "eval-knn", cfg, report)
     return report
 
 
-def _nextitem_query_metrics(cfg: dict, split: CorpusSplit, embeddings, seed: int,
-                            m: int, eval_corpus: str = "test"):
-    cap = cfg["preprocess"]["max_prefix_len"]
-    train_prefixes = corpus_prefixes(split.train, cap)
-    val_prefixes = corpus_prefixes(split.validation, cap)
-    eval_prefixes = corpus_prefixes(getattr(split, eval_corpus), cap)
-    if not train_prefixes or not eval_prefixes:
-        raise DataError("not enough prefixes to train and evaluate")
-    ni = cfg["nextitem"]
-    d = cfg["embed"]["dim"]
-    if ni["init_mode"] == "pretrained":
-        if embeddings is None:
-            raise DataError("pretrained init requires a trained embedding artifact")
-        table = nextitem.init_table(nextitem.PRETRAINED, m, embeddings.shape[1],
-                                    source=embeddings)
-    else:
-        table = nextitem.init_table(nextitem.SCALED_UNIFORM, m, d,
-                                    rng=np.random.default_rng(seed))
-    model = nextitem.NextItemModel(table)
-    result = nextitem.train_next(
-        model, train_prefixes, val_prefixes,
-        nextitem.NextTrainConfig(epochs=ni["epochs"], lr=ni["lr"],
-                                 batch_size=ni["batch_size"], seed=seed))
-    ks = tuple(cfg["eval"]["k_values"])
-    names = evalkit.standard_metric_names(ks)
-    out = {name: np.zeros(len(eval_prefixes)) for name in names}
-    for i, p in enumerate(eval_prefixes):
-        rank = model.target_rank(p.prefix, p.target)
-        for k in ks:
-            out[f"HR@{k}"][i] = 1.0 if rank <= k else 0.0
-            out[f"MRR@{k}"][i] = 1.0 / rank if rank <= k else 0.0
-    return out, result
-
-
 def run_train_next(cfg: dict, out: Path) -> evalkit.MetricReport:
-    split = load_split(out)
-    catalog, _ = load_catalog(out)
-    embeddings = _load_embeddings(cfg, out, "nextitem")
-    logs: list[str] = []
-
-    def pipeline(seed):
-        metrics, result = _nextitem_query_metrics(cfg, split, embeddings, seed,
-                                                  m=len(catalog))
-        logs.extend(f"seed={seed}\t{rec.as_line()}" for rec in result.records)
-        return metrics
-
-    report = evalkit.run_experiment(pipeline, cfg["eval"]["repeats"],
-                                    cfg["eval"]["master_seed"])
+    report, logs = _experiment(cfg, out, "nextitem")
     (out / "training_log.tsv").write_text(
         "seed\tepoch\ttrain_loss\tval_hr10\tval_mrr10\twall_s\n"
         + "".join(line + "\n" for line in logs), encoding="utf-8")
@@ -382,16 +368,21 @@ def run_train_next(cfg: dict, out: Path) -> evalkit.MetricReport:
     return report
 
 
+def _structured_lines(report: evalkit.MetricReport) -> list[str]:
+    """metric, run index or "mean", and value: one line per run and metric."""
+    lines = []
+    for name in report.metric_names():
+        lines += [f"{name}\t{i}\t{v:.10f}" for i, v in enumerate(report.runs[name])]
+        lines.append(f"{name}\tmean\t{report.mean(name):.10f}")
+    return lines
+
+
 def _write_report(out: Path, stage: str, cfg: dict, report: evalkit.MetricReport,
                   tests: dict | None = None):
     out.mkdir(parents=True, exist_ok=True)
     text_lines = [f"{stage} results ({len(next(iter(report.runs.values())))} runs)"]
     text_lines += report.table_lines()
-    structured = ["metric\trun\tvalue"]
-    for name in report.metric_names():
-        for i, v in enumerate(report.runs[name]):
-            structured.append(f"{name}\t{i}\t{v:.10f}")
-        structured.append(f"{name}\tmean\t{report.mean(name):.10f}")
+    structured = ["metric\trun\tvalue"] + _structured_lines(report)
     if tests:
         text_lines.append("")
         text_lines.append("paired t-test")
@@ -416,24 +407,8 @@ def _write_report(out: Path, stage: str, cfg: dict, report: evalkit.MetricReport
 
 def run_compare(cfg_a: dict, cfg_b: dict, out_a: Path, out_b: Path, out: Path,
                 pair_by: str = "queries") -> dict:
-    def run_one(cfg, art_out):
-        split = load_split(art_out)
-        embeddings = _load_embeddings(cfg, art_out, cfg["task"])
-        if cfg["task"] == "knn":
-            pipeline = _seed_free(lambda: _knn_query_metrics(cfg, split, embeddings, "test"))
-        else:
-            catalog, _ = load_catalog(art_out)
-
-            def pipeline(seed):
-                metrics, _ = _nextitem_query_metrics(cfg, split, embeddings, seed,
-                                                     m=len(catalog))
-                return metrics
-
-        return evalkit.run_experiment(pipeline, cfg["eval"]["repeats"],
-                                      cfg["eval"]["master_seed"])
-
-    report_a = run_one(cfg_a, out_a)
-    report_b = run_one(cfg_b, out_b)
+    report_a, _ = _experiment(cfg_a, out_a, cfg_a["task"])
+    report_b, _ = _experiment(cfg_b, out_b, cfg_b["task"])
     tests = evalkit.compare_reports(report_a, report_b, pair_by=pair_by)
     out.mkdir(parents=True, exist_ok=True)
     _write_report(out, "compare", cfg_a, report_a, tests=tests)
@@ -459,24 +434,16 @@ def _grid_points(cfg: dict) -> list[dict]:
 
 def _eval_grid_point(args):
     cfg, out_str, assignment = args
-    out = Path(out_str)
     cfg = json.loads(json.dumps(cfg))
     for dotted, value in assignment.items():
         set_by_path(cfg, dotted, value)
     cfg = resolve_config(cfg)
-    split = load_split(out)
-    embeddings = _load_embeddings(cfg, out, cfg["task"])
-    if cfg["task"] == "knn":
-        metrics = _knn_query_metrics(cfg, split, embeddings, "validation")
-    else:
-        catalog, _ = load_catalog(out)
-        metrics, _ = _nextitem_query_metrics(cfg, split, embeddings,
-                                             cfg["eval"]["master_seed"],
-                                             m=len(catalog), eval_corpus="validation")
+    cfg["eval"]["repeats"] = 1
+    report, _ = _experiment(cfg, Path(out_str), cfg["task"], "validation")
     objective = cfg["grid"]["objective"]
-    if objective not in metrics:
+    if objective not in report.runs:
         raise ConfigError(f"grid objective {objective!r} is not a computed metric")
-    return assignment, float(np.mean(metrics[objective]))
+    return assignment, report.runs[objective][0]
 
 
 def run_grid(cfg: dict, out: Path, workers: int = 1) -> list[tuple[dict, float]]:
@@ -513,25 +480,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", required=True, help="artifact directory")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--format", choices=("text", "structured"), default="text")
+        if name == "grid":
+            p.add_argument("--workers", type=int, default=1)
+        if name in ("eval-knn", "train-next"):
+            p.add_argument("--format", choices=("text", "structured"), default="text")
         if name == "compare":
             p.add_argument("--config-b", required=True, help="second config to compare against")
             p.add_argument("--out-b", default=None,
                            help="artifact directory of the second config (defaults to --out)")
             p.add_argument("--pair-by", choices=("queries", "runs"), default="queries")
     return parser
-
-
-def _print_report(report: evalkit.MetricReport, fmt: str):
-    if fmt == "structured":
-        for name in report.metric_names():
-            for i, v in enumerate(report.runs[name]):
-                print(f"{name}\t{i}\t{v:.10f}")
-            print(f"{name}\tmean\t{report.mean(name):.10f}")
-    else:
-        for line in report.table_lines():
-            print(line)
 
 
 def main(argv=None) -> int:
@@ -549,14 +507,12 @@ def main(argv=None) -> int:
             params = run_build_graph(cfg, out)
             print(json.dumps(params, sort_keys=True))
         elif args.command == "train-embed":
-            params = run_train_embed(cfg, out, seed=args.seed)
+            params = run_train_embed(cfg, out)
             print(json.dumps(params, sort_keys=True))
-        elif args.command == "eval-knn":
-            report = run_eval_knn(cfg, out)
-            _print_report(report, args.format)
-        elif args.command == "train-next":
-            report = run_train_next(cfg, out)
-            _print_report(report, args.format)
+        elif args.command in ("eval-knn", "train-next"):
+            report = (run_eval_knn if args.command == "eval-knn" else run_train_next)(cfg, out)
+            print("\n".join(_structured_lines(report) if args.format == "structured"
+                            else report.table_lines()))
         elif args.command == "compare":
             cfg_b = load_config(args.config_b)
             out_b = Path(args.out_b) if args.out_b else out

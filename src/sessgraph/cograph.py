@@ -244,11 +244,16 @@ def save_graph_binary(graph: CoGraph, path):
         fh.write(np.rec.fromarrays([i, j, w], dtype=_BIN_EDGE).tobytes())
 
 
-def load_graph_binary(path) -> CoGraph:
+def load_graph_binary(path, nodes: int | None = None) -> CoGraph:
+    """The graph in `path`. With `nodes` given, a header that names another
+    node count raises DataError before anything is allocated for it."""
     data = Path(path).read_bytes()
     if len(data) < _BIN_HEADER.size or data[:4] != _BIN_MAGIC:
         raise DataError(f"{path}: not a co-occurrence graph file")
     _, n, m, c_max = _BIN_HEADER.unpack_from(data)
+    if nodes is not None and n != nodes:
+        raise DataError(f"{path}: header says {n} nodes, the catalog has {nodes} items; "
+                        "re-run build-graph after preprocess")
     if len(data) != _BIN_HEADER.size + m * _BIN_EDGE.itemsize:
         raise DataError(f"{path}: {len(data)} bytes do not hold the {m} edges of its header")
     records = np.frombuffer(data, dtype=_BIN_EDGE, offset=_BIN_HEADER.size)

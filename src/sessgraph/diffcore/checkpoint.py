@@ -16,10 +16,13 @@ load(save(x)) round-trips bit-exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
+
+from ..errors import DataError
 
 _MAGIC = b"NTC1"
 
@@ -39,24 +42,37 @@ def save_tensors(path, tensors: dict[str, np.ndarray]):
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
+    """Inverse of save_tensors. Bad magic, truncation, a corrupt name or shape
+    and trailing bytes raise DataError naming the file."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a named-tensor container")
+        raise DataError(f"{path}: not a named-tensor container")
     offset = 4
-    (count,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+
+    def take(size: int) -> int:
+        """Start of the next `size` bytes, which the file must hold."""
+        nonlocal offset
+        if size > len(data) - offset:
+            raise DataError(f"{path}: truncated at byte {offset}, "
+                            f"{size} more bytes expected")
+        offset += size
+        return offset - size
+
+    (count,) = struct.unpack_from("<I", data, take(4))
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        name = data[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", data, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}Q", data, offset)
-        offset += 8 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=offset).reshape(shape)
-        offset += 8 * n
+        (name_len,) = struct.unpack_from("<H", data, take(2))
+        start = take(name_len)
+        (ndim,) = struct.unpack_from("<B", data, take(1))
+        shape = struct.unpack_from(f"<{ndim}Q", data, take(8 * ndim))
+        n = math.prod(shape)
+        values = take(8 * n)
+        try:
+            name = data[start:start + name_len].decode("utf-8")
+            arr = np.frombuffer(data, dtype="<f8", count=n, offset=values).reshape(shape)
+        except ValueError as exc:   # a name that is not UTF-8, an impossible shape
+            raise DataError(f"{path}: corrupt tensor at byte {start}: {exc}") from None
         out[name] = arr.copy()
+    if offset != len(data):
+        raise DataError(f"{path}: {len(data) - offset} trailing bytes after {count} tensors")
     return out

@@ -190,15 +190,26 @@ def standard_metric_names(ks=METRIC_KS) -> list[str]:
     return [f"HR@{k}" for k in ks] + [f"MRR@{k}" for k in ks]
 
 
+def rank_metrics(ranks, ks=METRIC_KS) -> dict[str, np.ndarray]:
+    """Per-query HR@k / MRR@k vectors from 1-based target ranks (0: absent)."""
+    ranks = np.asarray(ranks, dtype=np.float64)
+    out = {}
+    for k in ks:
+        if k < 1:
+            raise DataError(f"k must be positive, got {k}")
+        hit = (ranks > 0) & (ranks <= k)
+        out[f"HR@{k}"] = hit.astype(np.float64)
+        out[f"MRR@{k}"] = np.divide(1.0, ranks, out=np.zeros(len(ranks)), where=hit)
+    return {name: out[name] for name in standard_metric_names(ks)}
+
+
 def query_metrics(ranked_lists, targets, ks=METRIC_KS) -> dict[str, np.ndarray]:
     """Per-query HR@k / MRR@k vectors for a batch of ranked lists."""
-    out = {name: np.zeros(len(targets)) for name in standard_metric_names(ks)}
-    for i, (ranked, target) in enumerate(zip(ranked_lists, targets)):
+    ranks = []
+    for ranked, target in zip(ranked_lists, targets):
         items = _ranked_items(ranked)
-        for k in ks:
-            out[f"HR@{k}"][i] = hit_rate(items, target, k)
-            out[f"MRR@{k}"][i] = mrr(items, target, k)
-    return out
+        ranks.append(items.index(target) + 1 if target in items else 0)
+    return rank_metrics(ranks, ks)
 
 
 def run_experiment(pipeline, repeats: int = DEFAULT_REPEATS,

@@ -3,12 +3,14 @@ manifests, determinism, stage independence, exit codes."""
 
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sessgraph import cli
+from sessgraph.cograph import CoGraph
 from sessgraph.config import DEFAULTS, config_hash, load_config, resolve_config
 from sessgraph.errors import ConfigError, DataError
 from sessgraph.sessiondata import corpus_prefixes
@@ -307,3 +309,98 @@ def test_corrupt_corpus_exit_code(workdir, tmp_path, capsys):
     rc = cli.main(["build-graph", "--config", str(cfg_path), "--out", str(art)])
     assert rc == 3
     assert "train.sessions:" in capsys.readouterr().err
+
+
+def test_corpus_line_without_items_is_data_error(tmp_path):
+    path = _write(tmp_path / "train.sessions", "s0 1 2 10\ns1 100\n")
+    with pytest.raises(DataError, match=r"train\.sessions:2: corpus line needs id, items"):
+        cli.load_corpus(path)
+
+
+def _forbid_graph_allocation(monkeypatch):
+    """A graph header must be rejected before CoGraph.from_edges sizes the
+    graph by it; reaching the constructor fails the test instead."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph built from an unchecked header")
+    monkeypatch.setattr(CoGraph, "from_edges", refuse)
+
+
+def test_graph_header_with_huge_node_count_exit_code(workdir, tmp_path, monkeypatch, capsys):
+    root, cfg_path, out = workdir
+    art = tmp_path / "art"
+    shutil.copytree(out, art)
+    (art / "graph.bin").write_bytes(b"COG1" + struct.pack("<QQQ", 10**12, 0, 1))
+    _forbid_graph_allocation(monkeypatch)
+    rc = cli.main(["train-embed", "--config", str(cfg_path), "--out", str(art)])
+    assert rc == 3
+    assert "graph.bin: header says 1000000000000 nodes" in capsys.readouterr().err
+
+
+def test_graph_with_another_node_count_exit_code(workdir, tmp_path, monkeypatch, capsys):
+    """A graph.bin left by another preprocess run: 5 nodes more than the catalog."""
+    root, cfg_path, out = workdir
+    art = tmp_path / "art"
+    shutil.copytree(out, art)
+    graph = cli.load_graph_binary(art / "graph.bin")
+    nodes = len(cli._catalog_ids(art))
+    assert graph.n == nodes
+    cli.save_graph_binary(CoGraph.from_edges(nodes + 5, np.column_stack(graph.upper()),
+                                             c_max=graph.c_max), art / "graph.bin")
+    _forbid_graph_allocation(monkeypatch)
+    rc = cli.main(["train-embed", "--config", str(cfg_path), "--out", str(art)])
+    assert rc == 3
+    assert f"header says {nodes + 5} nodes, the catalog has {nodes} items" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("preprocess", ["--workers", "2"]),
+    ("eval-knn", ["--workers", "2"]),
+    ("grid", ["--format", "structured"]),
+    ("train-embed", ["--format", "text"]),
+])
+def test_flags_only_on_commands_that_read_them(tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]
+                 + flag)
+    assert exc.value.code == 2
+
+
+def test_flag_count():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    flags = sum(len(a.option_strings) > 0 and a.dest != "help"
+                for p in subparsers.values() for a in p._actions)
+    assert flags == 27
+
+
+def test_compare_and_grid_on_nextitem_task(workdir, tmp_path, capsys):
+    root, cfg_path, out = workdir
+    art = tmp_path / "art"
+    shutil.copytree(out, art)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["task"] = "nextitem"
+    cfg["nextitem"]["epochs"] = 1
+    cfg_a = _write(tmp_path / "a.json", json.dumps(cfg))
+    cfg["nextitem"]["lr"] = 0.1
+    cfg_b = _write(tmp_path / "b.json", json.dumps(cfg))
+    assert cli.main(["compare", "--config", str(cfg_a), "--config-b", str(cfg_b),
+                     "--out", str(art)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[0] for line in printed] == ["HR@10", "HR@20", "MRR@10", "MRR@20"]
+    report = (art / "report_compare.tsv").read_text().splitlines()
+    # header, then 2 runs + mean for each of 4 metrics, then the t-test block
+    assert report[0] == "metric\trun\tvalue"
+    assert report[13] == "metric\tt\tp\tsignificant\tdegenerate"
+    assert len(report) == 18
+
+    cfg["grid"] = {"parameters": {"nextitem.lr": [0.02, 0.1]}}
+    cfg_g = _write(tmp_path / "g.json", json.dumps(cfg))
+    assert cli.main(["grid", "--config", str(cfg_g), "--out", str(art)]) == 0
+    summary = (art / "grid_summary.tsv").read_text().splitlines()
+    assert summary[0] == "rank\tobjective\tassignment"
+    assert sorted(json.loads(line.split("\t")[2])["nextitem.lr"] for line in summary[1:]) \
+        == [0.02, 0.1]
+    objectives = [float(line.split("\t")[1]) for line in summary[1:]]
+    assert objectives == sorted(objectives, reverse=True)
+    assert all(0.0 <= v <= 1.0 for v in objectives)

@@ -2,12 +2,13 @@
 plus optimizer and checkpoint behavior."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from sessgraph import diffcore as dc
-from sessgraph.errors import NumericError, ShapeError
+from sessgraph.errors import DataError, NumericError, ShapeError
 
 FD_H = 1e-5
 FD_TOL = 1e-5
@@ -364,4 +365,24 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
+        dc.load_tensors(path)
+
+
+@pytest.mark.parametrize("case", ["magic", "truncated", "trailing", "short_count",
+                                  "huge_shape", "bad_name"])
+def test_checkpoint_rejects_corrupt_files(tmp_path, case):
+    path = tmp_path / "encoder.ntc"
+    dc.save_tensors(path, {"W": np.ones((2, 3)), "b": np.zeros(3)})
+    data = path.read_bytes()
+    name_at = 4 + 4 + 2   # after magic, count and the first name's length
+    shape_at = name_at + 1 + 1   # after the name "W" and its ndim
+    path.write_bytes({
+        "magic": b"NTC2" + data[4:],
+        "truncated": data[:-5],
+        "trailing": data + b"\0",
+        "short_count": data[:6],
+        "huge_shape": data[:shape_at] + struct.pack("<QQ", 2**40, 2**40) + data[shape_at + 16:],
+        "bad_name": data[:name_at] + b"\xff" + data[name_at + 1:],
+    }[case])
+    with pytest.raises(DataError, match="encoder.ntc"):
         dc.load_tensors(path)

@@ -256,3 +256,27 @@ def test_run_errors_keep_their_type():
     with pytest.raises(RowError, match=r"run 1: row 12: bad field") as exc:
         ek.run_experiment(pipeline, repeats=5, master_seed=2)
     assert exc.value.row == 12
+
+
+def test_rank_metrics_on_hand_made_ranks():
+    # absent, rank 1, rank exactly k=10, rank k+1=11, rank exactly 20, rank 21
+    out = ek.rank_metrics([0, 1, 10, 11, 20, 21], ks=(10, 20))
+    assert list(out) == ["HR@10", "HR@20", "MRR@10", "MRR@20"]
+    assert out["HR@10"].tolist() == [0.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+    assert out["HR@20"].tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 0.0]
+    assert out["MRR@10"].tolist() == [0.0, 1.0, 0.1, 0.0, 0.0, 0.0]
+    assert out["MRR@20"].tolist() == [0.0, 1.0, 0.1, 1 / 11, 0.05, 0.0]
+    assert all(v.dtype == np.float64 for v in out.values())
+    with pytest.raises(DataError):
+        ek.rank_metrics([1], ks=(0,))
+
+
+def test_query_metrics_agree_with_per_list_metrics():
+    rng = np.random.default_rng(6)
+    lists = [list(rng.permutation(30)[:int(rng.integers(0, 25))]) for _ in range(40)]
+    targets = [int(rng.integers(0, 30)) for _ in lists]
+    out = ek.query_metrics([_ranked(items) for items in lists], targets, ks=(1, 5, 20))
+    for i, (items, target) in enumerate(zip(lists, targets)):
+        for k in (1, 5, 20):
+            assert out[f"HR@{k}"][i] == ek.hit_rate(items, target, k)
+            assert out[f"MRR@{k}"][i] == ek.mrr(items, target, k)
