@@ -160,9 +160,6 @@ class TrainConfig:
     heads: int = 1
     augmentation: AugmentationConfig = field(default_factory=AugmentationConfig)
     seed: int = 0
-    # the objective is cosine-based, so row scale carries no information;
-    # normalized export keeps dot-product consumers scale-sane
-    normalize_export: bool = True
 
 
 @dataclass
@@ -208,8 +205,9 @@ def train_embeddings(graph: CoGraph, config: TrainConfig) -> TrainResult:
             loss_history.append(value)
         epoch_losses.append(float(np.mean(batch_losses)))
     embeddings = state.online.encode_full(graph.X, graph).data.copy()
-    if config.normalize_export:
-        embeddings /= np.maximum(np.linalg.norm(embeddings, axis=1, keepdims=True), 1e-12)
+    # the objective is cosine-based, so row scale carries no information;
+    # unit rows keep dot-product consumers scale-sane
+    embeddings /= np.maximum(np.linalg.norm(embeddings, axis=1, keepdims=True), 1e-12)
     if not np.all(np.isfinite(embeddings)):
         raise NumericError("trained embeddings contain non-finite values")
     norms = np.linalg.norm(embeddings, axis=1)
@@ -219,7 +217,7 @@ def train_embeddings(graph: CoGraph, config: TrainConfig) -> TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# embedding export (text + binary must load identically)
+# embedding export: embeddings.txt is written only, embeddings.bin is read back
 # ---------------------------------------------------------------------------
 
 _EMB_MAGIC = b"EMB1"
@@ -232,19 +230,6 @@ def save_embeddings_text(path, embeddings: np.ndarray, catalog: ItemCatalog):
         for i in range(m):
             row = " ".join(repr(float(v)) for v in embeddings[i])
             fh.write(f"{catalog.external_ids[i]} {row}\n")
-
-
-def load_embeddings_text(path) -> tuple[np.ndarray, list[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        m, d = int(header[0]), int(header[1])
-        out = np.zeros((m, d))
-        ids = []
-        for i in range(m):
-            parts = fh.readline().split()
-            ids.append(parts[0])
-            out[i] = [float(v) for v in parts[1:]]
-    return out, ids
 
 
 def save_embeddings_binary(path, embeddings: np.ndarray, catalog: ItemCatalog):
@@ -283,4 +268,6 @@ def load_embeddings_binary(path) -> tuple[np.ndarray, list[str]]:
         raise DataError(f"{path}: truncated or corrupt at row {len(ids)}: {exc}") from None
     if offset != len(data):
         raise DataError(f"{path}: {len(data) - offset} trailing bytes after {m} rows")
+    if not np.all(np.isfinite(out)):    # train-embed never writes one
+        raise DataError(f"{path}: non-finite embedding value")
     return out, ids

@@ -177,7 +177,6 @@ def load_split(out: Path) -> CorpusSplit:
         train=load_corpus(out / SESSIONS_FILES["train"]),
         validation=load_corpus(out / SESSIONS_FILES["validation"]),
         test=load_corpus(out / SESSIONS_FILES["test"]),
-        fractions=(0.8, 0.1, 0.1),
     )
 
 

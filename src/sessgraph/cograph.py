@@ -11,12 +11,12 @@ The only graph form is CSR arrays holding both directions of every edge.
 `CoGraph.upper()` returns them as (i, j, w) rows, i < j, in (i, j) order.
 `graph.bin` (little-endian): b"COG1", u64 n, u64 edge count, u64 c_max, then
 per edge in `upper()` order u64 i, u64 j, f64 w. `graph.txt`: a line
-"n edge_count c_max", then one line "i j repr(w)" per edge.
+"n edge_count c_max", then one line "i j repr(w)" per edge. Stages read back
+only `graph.bin`; `graph.txt` is an export for inspection and other tools.
 """
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -123,26 +123,6 @@ def build_cograph(train: SessionCorpus, catalog: ItemCatalog,
     return CoGraph.from_edges(n, edges, c_max=c_max, X=X)
 
 
-def validate_cograph(graph: CoGraph):
-    """Raise DataError when a structural invariant is violated.
-
-    A valid graph is exactly the CSR that `from_edges` builds from its own
-    upper triangle: symmetric, loop-free, sorted rows, no duplicates.
-    """
-    indptr = graph.indptr
-    if (len(indptr) != graph.n + 1 or indptr[0] != 0 or np.any(np.diff(indptr) < 0)
-            or indptr[-1] != len(graph.indices) or len(graph.weights) != len(graph.indices)):
-        raise DataError("malformed CSR arrays")
-    if not np.all((graph.weights > 0.0) & (graph.weights <= 1.0)):
-        raise DataError("edge weight outside (0, 1]")
-    if len(graph.weights) and graph.weights.max() != 1.0:
-        raise DataError("no edge carries the maximal weight 1.0")
-    rebuilt = CoGraph.from_edges(graph.n, np.column_stack(graph.upper()))
-    for name in ("indptr", "indices", "weights"):
-        if not np.array_equal(getattr(rebuilt, name), getattr(graph, name)):
-            raise DataError(f"{name} differ from the CSR rebuilt from the upper triangle")
-
-
 @dataclass
 class NeighborSample:
     """Two-hop fixed-fanout sample rooted at seed nodes.
@@ -151,6 +131,7 @@ class NeighborSample:
     hop2 feeds the input layer (dst in the hop-1 closure, which includes the
     seeds themselves since their first-layer representations are needed).
     All node ids are global; edge arrays are sorted by (dst, src).
+    `sample_neighbors` is the only producer.
     """
 
     seeds: np.ndarray
@@ -213,28 +194,13 @@ def sample_neighbors(graph: CoGraph, seeds, fanouts: tuple[int, int],
 
 
 # ---------------------------------------------------------------------------
-# serialization: text and binary forms must load to identical graphs
+# serialization
 # ---------------------------------------------------------------------------
 
 def save_graph_text(graph: CoGraph, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{graph.n} {graph.num_edges} {graph.c_max}\n")
         fh.writelines(f"{i} {j} {w!r}\n" for i, j, w in graph.edge_triples())
-
-
-def load_graph_text(path) -> CoGraph:
-    header, *rows = Path(path).read_text(encoding="utf-8").splitlines() or [""]
-    try:
-        n, m, c_max = (int(tok) for tok in header.split())
-        if len(rows) != m:
-            raise DataError(f"header says {m} edges, file has {len(rows)} edge lines")
-        edges = np.loadtxt(io.StringIO("\n".join(rows)), ndmin=2,
-                           comments=None) if m else np.zeros((0, 3))
-        if edges.shape != (m, 3):
-            raise DataError("every edge line must hold 'i j w'")
-    except ValueError as exc:   # DataError included
-        raise DataError(f"{path}: {exc}") from None
-    return CoGraph.from_edges(n, edges, c_max=c_max)
 
 
 def save_graph_binary(graph: CoGraph, path):
@@ -246,7 +212,9 @@ def save_graph_binary(graph: CoGraph, path):
 
 def load_graph_binary(path, nodes: int | None = None) -> CoGraph:
     """The graph in `path`. With `nodes` given, a header that names another
-    node count raises DataError before anything is allocated for it."""
+    node count raises DataError before anything is allocated for it. Weights
+    must lie in (0, 1] with at least one edge at exactly 1.0, as
+    `build_cograph` writes them; other files raise DataError."""
     data = Path(path).read_bytes()
     if len(data) < _BIN_HEADER.size or data[:4] != _BIN_MAGIC:
         raise DataError(f"{path}: not a co-occurrence graph file")
@@ -257,5 +225,10 @@ def load_graph_binary(path, nodes: int | None = None) -> CoGraph:
     if len(data) != _BIN_HEADER.size + m * _BIN_EDGE.itemsize:
         raise DataError(f"{path}: {len(data)} bytes do not hold the {m} edges of its header")
     records = np.frombuffer(data, dtype=_BIN_EDGE, offset=_BIN_HEADER.size)
-    edges = np.column_stack([records["i"], records["j"], records["w"]])
+    w = records["w"]
+    if not np.all((w > 0.0) & (w <= 1.0)):    # NaN fails both comparisons
+        raise DataError(f"{path}: edge weight outside (0, 1]")
+    if m and w.max() != 1.0:
+        raise DataError(f"{path}: no edge carries the maximal weight 1.0")
+    edges = np.column_stack([records["i"], records["j"], w])
     return CoGraph.from_edges(n, edges, c_max=c_max)

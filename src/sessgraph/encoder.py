@@ -183,64 +183,3 @@ class SkipEncoder:
         h_dst_l2 = dc.gather_rows(h2_in, np.searchsorted(layer1_nodes, sample.seeds))
         return self.layers[1].forward(h_dst_l2, h2_in, h2_edges, len(sample.seeds))
 
-
-def attention_coeffs(layer: Gatv2Layer, H: np.ndarray,
-                     graph: CoGraph) -> tuple[list[np.ndarray], tuple]:
-    """Per-head attention coefficients over every directed edge of the graph.
-
-    Returns (per-head coefficient arrays, (dst, src, weight) edge arrays);
-    nodes without neighbors simply contribute no entries.
-    """
-    edges = graph.directed_edges()
-    h = dc.Tensor(np.asarray(H, dtype=np.float64))
-    alphas = layer.coefficients(h, h, edges)
-    return [a.data.copy() for a in alphas], edges
-
-
-def gatv2_forward(layer: Gatv2Layer, H: np.ndarray, graph: CoGraph) -> np.ndarray:
-    """Full-graph single-layer forward for inspection and tests."""
-    h = dc.Tensor(np.asarray(H, dtype=np.float64))
-    return layer.forward(h, h, graph.directed_edges(), graph.n).data.copy()
-
-
-def encode(encoder: SkipEncoder, X: np.ndarray,
-           graph_or_sample: CoGraph | NeighborSample) -> np.ndarray:
-    """Embedding rows (all nodes for a graph, seed nodes for a sample)."""
-    if isinstance(graph_or_sample, NeighborSample):
-        return encoder.encode_sampled(X, graph_or_sample).data.copy()
-    return encoder.encode_full(X, graph_or_sample).data.copy()
-
-
-def inductive_embed(encoder: SkipEncoder, graph: CoGraph, X: np.ndarray,
-                    feature_row: np.ndarray, neighbors) -> np.ndarray:
-    """Embed an item unseen at training time without touching the graph.
-
-    neighbors is a list of (existing node id, edge weight). The new node
-    aggregates from its declared neighbors, whose own representations are
-    computed over their original neighborhoods; existing nodes never see the
-    new node, so embedding a clone of node k reproduces k's embedding.
-    """
-    feature_row = np.asarray(feature_row, dtype=np.float64).reshape(-1)
-    if feature_row.shape[0] != encoder.d_feat:
-        raise ShapeError("inductive_embed", feature_row.shape, (encoder.d_feat,))
-    new_id = graph.n
-    nbr = np.asarray(neighbors, dtype=np.float64).reshape(-1, 2)
-    nbr = nbr[np.lexsort((nbr[:, 1], nbr[:, 0]))]
-    hop1_src = nbr[:, 0].astype(np.int64)
-    hop1_w = nbr[:, 1]
-    hop1_dst = np.full(len(nbr), new_id, dtype=np.int64)
-    X_ext = np.vstack([X, feature_row[None, :]])
-
-    # hop-2 edges: each neighbor's full original neighborhood, then the new
-    # node's layer-1 aggregation (new_id sorts last), ordered by (dst, src)
-    h2_dst, h2_src, h2_w = graph.directed_edges()
-    rows = np.isin(h2_dst, hop1_src)
-    h2_dst, h2_src, h2_w = h2_dst[rows], h2_src[rows], h2_w[rows]
-    sample = NeighborSample(
-        seeds=np.array([new_id], dtype=np.int64),
-        hop1_dst=hop1_dst, hop1_src=hop1_src, hop1_w=hop1_w,
-        hop2_dst=np.concatenate([h2_dst, hop1_dst]),
-        hop2_src=np.concatenate([h2_src, hop1_src]),
-        hop2_w=np.concatenate([h2_w, hop1_w]),
-    )
-    return encoder.encode_sampled(X_ext, sample).data[0].copy()

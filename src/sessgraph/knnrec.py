@@ -37,7 +37,6 @@ bounded by its candidate pool, never a pass over all training sessions):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -87,14 +86,6 @@ class KnnConfig:
         )
 
 
-@dataclass
-class IndexedSession:
-    session_id: str
-    items: tuple[int, ...]
-    item_set: frozenset[int]
-    start_ts: int
-
-
 class EmbeddingMatcher:
     """Threshold matching on cosine distance between item embeddings."""
 
@@ -133,9 +124,9 @@ class EmbeddingMatcher:
 @dataclass(eq=False)
 class SessionIndex:
     """Recency ranks, CSR session items and newest-first postings (see the
-    module docstring), plus the cached matcher."""
+    module docstring), plus the cached matcher. The session ids and raw item
+    order are not kept: positions refer to the indexed corpus."""
 
-    corpus: SessionCorpus
     order: np.ndarray          # rank -> position
     rank: np.ndarray           # position -> rank
     indptr: np.ndarray         # position -> slice of items
@@ -147,20 +138,6 @@ class SessionIndex:
     @property
     def n_items(self) -> int:
         return len(self.post_indptr) - 1
-
-    @cached_property
-    def sessions(self) -> list[IndexedSession]:
-        return [IndexedSession(s.session_id, tuple(s.items), frozenset(s.items), s.start_ts)
-                for s in self.corpus.sessions]
-
-    @cached_property
-    def by_item(self) -> dict[int, list[int]]:
-        """item -> ascending positions into sessions."""
-        positions = np.repeat(np.arange(len(self.order)), np.diff(self.indptr))
-        by = np.argsort(self.items, kind="stable")
-        keys, starts = np.unique(self.items[by], return_index=True)
-        groups = np.split(positions[by], starts[1:])
-        return {int(x): g.tolist() for x, g in zip(keys, groups)}
 
     def matcher(self, embeddings: np.ndarray, threshold: float) -> EmbeddingMatcher:
         """The cached matcher for `embeddings` (by identity) at `threshold`."""
@@ -214,7 +191,7 @@ def index_sessions(train: SessionCorpus) -> SessionIndex:
     by = np.lexsort((rank[pos], items))
     post_indptr = np.zeros(n_items + 1, np.int64)
     np.cumsum(np.bincount(items, minlength=n_items), out=post_indptr[1:])
-    return SessionIndex(train, order, rank, indptr, items, post_indptr, rank[pos][by])
+    return SessionIndex(order, rank, indptr, items, post_indptr, rank[pos][by])
 
 
 @dataclass
@@ -345,9 +322,8 @@ class RankedList:
 
 
 def recommend(input_items, index: SessionIndex, config: KnnConfig,
-              embeddings: np.ndarray | None = None,
-              k_rec: int | None = None) -> RankedList:
-    """The top `k_rec` items for one input session.
+              embeddings: np.ndarray | None = None) -> RankedList:
+    """The top `config.k_rec` items for one input session.
 
     Under GCNext the index caches the unit rows of `embeddings`, keyed by the
     identity of the array: to serve changed embeddings, pass a new array
@@ -355,7 +331,6 @@ def recommend(input_items, index: SessionIndex, config: KnnConfig,
     """
     if len(tuple(input_items)) < 1:
         raise DataError("input session must contain at least one item")
-    k_rec = config.k_rec if k_rec is None else k_rec
     neighbors = find_neighbors(input_items, index, config, embeddings)
     scores = score_items(neighbors, input_items, index, config, embeddings)
     if config.exclude_input_items:
@@ -363,7 +338,7 @@ def recommend(input_items, index: SessionIndex, config: KnnConfig,
             scores.pop(item, None)
     items = np.fromiter(scores.keys(), np.int64, len(scores))
     values = np.fromiter(scores.values(), np.float64, len(scores))
-    top = np.lexsort((items, -values))[:k_rec]
+    top = np.lexsort((items, -values))[:config.k_rec]
     return RankedList(tuple(zip(items[top].tolist(), values[top].tolist())))
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import NumericError, ShapeError
+from .evalkit import rank_metrics
 from .sessiondata import PrefixSample
 
 SCALED_UNIFORM = "scaled-uniform"
@@ -76,17 +77,11 @@ class NextItemModel:
 
 
 def evaluate_ranks(model: NextItemModel, prefixes: list[PrefixSample], k: int = 10):
-    """(HR@k, MRR@k) over a prefix set."""
+    """(HR@k, MRR@k) over a prefix set; (0.0, 0.0) for an empty one."""
     if not prefixes:
         return 0.0, 0.0
-    hits = 0
-    mrr = 0.0
-    for p in prefixes:
-        rank = model.target_rank(p.prefix, p.target)
-        if rank <= k:
-            hits += 1
-            mrr += 1.0 / rank
-    return hits / len(prefixes), mrr / len(prefixes)
+    metrics = rank_metrics([model.target_rank(p.prefix, p.target) for p in prefixes], (k,))
+    return float(metrics[f"HR@{k}"].mean()), float(metrics[f"MRR@{k}"].mean())
 
 
 @dataclass

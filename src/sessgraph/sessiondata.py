@@ -28,6 +28,9 @@ MIN_SESSION_LEN = 2
 MAX_PREFIX_LEN = 50
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 SESSION_GAP_SECONDS = 1800
+# a query needs a prefix item and a target, so validation and test sessions
+# shorter than this give none; independent of preprocess.min_session_len
+MIN_QUERY_SESSION_LEN = 2
 
 
 @dataclass(frozen=True)
@@ -81,11 +84,10 @@ class Session:
 
 @dataclass
 class ItemCatalog:
-    """Dense index <-> external id bijection plus the encoded feature matrix."""
+    """Dense index <-> external id bijection."""
 
     external_ids: list[str]
     index_of: dict[str, int]
-    X: np.ndarray | None = None
 
     @classmethod
     def from_ids(cls, ids) -> "ItemCatalog":
@@ -109,7 +111,6 @@ class CorpusSplit:
     train: SessionCorpus
     validation: SessionCorpus
     test: SessionCorpus
-    fractions: tuple[float, float, float]
     assigned_counts: tuple[int, int, int] = (0, 0, 0)
 
 
@@ -298,12 +299,12 @@ def temporal_split(corpus: SessionCorpus,
         out = []
         for s in sessions:
             kept = tuple(it for it in s.items if it in train_items)
-            if len(kept) >= MIN_SESSION_LEN:
+            if len(kept) >= MIN_QUERY_SESSION_LEN:
                 out.append(replace(s, items=kept))
         return out
 
     return CorpusSplit(SessionCorpus(train), SessionCorpus(_restrict(val)),
-                       SessionCorpus(_restrict(test)), tuple(fractions), assigned)
+                       SessionCorpus(_restrict(test)), assigned)
 
 
 def restrict_split_to_train(split: CorpusSplit, catalog: ItemCatalog) -> tuple[CorpusSplit, ItemCatalog]:
@@ -323,7 +324,7 @@ def restrict_split_to_train(split: CorpusSplit, catalog: ItemCatalog) -> tuple[C
         ])
 
     new_split = CorpusSplit(_remap(split.train), _remap(split.validation),
-                            _remap(split.test), split.fractions, split.assigned_counts)
+                            _remap(split.test), split.assigned_counts)
     return new_split, new_catalog
 
 

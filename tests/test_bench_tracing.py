@@ -1,6 +1,7 @@
-"""Every function the traced benchmark wraps must exist where its callers
-look it up, so that renaming one fails here and not only under --trace 1."""
+"""Every function the benchmark wraps or calls must exist where it looks it
+up, so that renaming or deleting one fails here and not only in a bench run."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _patches():
@@ -26,3 +28,43 @@ def test_traced_name_resolves(owner_path, attr):
         owner = getattr(owner, class_name)
     original = inspect.getattr_static(owner, attr)   # AttributeError when gone
     assert callable(getattr(original, "__func__", original))
+
+
+def _sessgraph_lookups(path: Path) -> list[str]:
+    """Dotted names of everything `path` imports from sessgraph, and of every
+    attribute chain it reads off a name bound by such an import."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound: dict[str, str] = {}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sessgraph":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                names.append(f"{node.module}.{alias.name}")
+
+    def chain(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            owner = chain(node.value)
+            return owner and f"{owner}.{node.attr}"
+        return None
+
+    names += [name for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and (name := chain(node))]
+    return sorted(set(names))
+
+
+def _resolve(dotted: str):
+    try:
+        return importlib.import_module(dotted)
+    except ModuleNotFoundError:
+        owner, _, attr = dotted.rpartition(".")
+        return getattr(_resolve(owner), attr)       # AttributeError when gone
+
+
+@pytest.mark.parametrize("script, dotted", [(path.name, name)
+                                             for path in sorted(BENCH.glob("*.py"))
+                                             for name in _sessgraph_lookups(path)])
+def test_bench_lookup_resolves(script, dotted):
+    _resolve(dotted)

@@ -282,15 +282,17 @@ def test_embedding_export_roundtrip(tmp_path):
     tpath, bpath = tmp_path / "e.txt", tmp_path / "e.bin"
     bgrl.save_embeddings_text(tpath, emb, catalog)
     bgrl.save_embeddings_binary(bpath, emb, catalog)
-    et, idt = bgrl.load_embeddings_text(tpath)
+    header, *rows = [line.split() for line in tpath.read_text().splitlines()]
+    assert header == ["6", "4"]
+    assert [r[0] for r in rows] == ids
+    assert np.array_equal(np.array([[float(v) for v in r[1:]] for r in rows]), emb)
     eb, idb = bgrl.load_embeddings_binary(bpath)
-    assert idt == ids and idb == ids
-    assert np.array_equal(et, emb)
+    assert idb == ids
     assert np.array_equal(eb, emb)
 
 
 @pytest.mark.parametrize("case", ["magic", "short", "truncated", "trailing", "huge_header",
-                                  "bad_id"])
+                                  "bad_id", "non_finite"])
 def test_embedding_binary_reader_rejects_corrupt_files(tmp_path, case):
     import struct
 
@@ -309,6 +311,7 @@ def test_embedding_binary_reader_rejects_corrupt_files(tmp_path, case):
         "trailing": data + b"\0",
         "huge_header": data[:4] + struct.pack("<QQ", 10**6, 10**6) + data[20:],
         "bad_id": data[:22] + b"\xff" + data[23:],
+        "non_finite": data[:23] + struct.pack("<d", float("nan")) + data[31:],
     }[case]
     path.write_bytes(bad)
     with pytest.raises(DataError):

@@ -92,15 +92,14 @@ def test_corpus_roundtrip(workdir):
 
 def test_build_graph_manifest_and_loaders(workdir):
     root, cfg_path, out = workdir
-    from sessgraph.cograph import load_graph_binary, load_graph_text
-
-    gt = load_graph_text(out / "graph.txt")
-    gb = load_graph_binary(out / "graph.bin")
-    assert gt.n == gb.n
-    assert np.array_equal(gt.weights, gb.weights)
+    gb = cli.load_graph_binary(out / "graph.bin")
+    header = (out / "graph.txt").read_text().split("\n", 1)[0].split()
+    assert header == [str(gb.n), str(gb.num_edges), str(gb.c_max)]
+    text_edges = np.loadtxt(out / "graph.txt", skiprows=1, ndmin=2)
+    assert np.array_equal(text_edges, np.column_stack(gb.upper()))
     manifest = json.loads((out / "manifest_build-graph.json").read_text())
-    assert manifest["params"]["nodes"] == gt.n
-    assert manifest["params"]["edges"] == gt.num_edges
+    assert manifest["params"]["nodes"] == gb.n
+    assert manifest["params"]["edges"] == gb.num_edges
 
 
 def test_train_embed_deterministic_bytes(workdir):
@@ -351,6 +350,18 @@ def test_graph_with_another_node_count_exit_code(workdir, tmp_path, monkeypatch,
     assert rc == 3
     assert f"header says {nodes + 5} nodes, the catalog has {nodes} items" \
         in capsys.readouterr().err
+
+
+def test_graph_with_weight_outside_unit_interval_exit_code(workdir, tmp_path, capsys):
+    root, cfg_path, out = workdir
+    art = tmp_path / "art"
+    shutil.copytree(out, art)
+    graph = cli.load_graph_binary(art / "graph.bin")
+    graph.weights[:] = 2.0
+    cli.save_graph_binary(graph, art / "graph.bin")
+    rc = cli.main(["train-embed", "--config", str(cfg_path), "--out", str(art)])
+    assert rc == 3
+    assert "graph.bin: edge weight outside (0, 1]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -1,12 +1,12 @@
 """Attention layer and skip encoder: dense oracle recomputation,
-finite-difference gradient checks, sampling equivalence, inductive embedding."""
+finite-difference gradient checks, sampling equivalence."""
 
 import numpy as np
 import pytest
 
 from sessgraph import cograph as cg
 from sessgraph import diffcore as dc
-from sessgraph.encoder import Gatv2Layer, SkipEncoder, attention_coeffs, encode, gatv2_forward, inductive_embed
+from sessgraph.encoder import Gatv2Layer, SkipEncoder
 
 from test_diffcore import finite_diff_grad, rel_err
 
@@ -55,8 +55,9 @@ def test_single_neighbor_alpha_is_one():
     rng = np.random.default_rng(0)
     graph = cg.CoGraph.from_edges(2, [(0, 1, 0.7)], c_max=1)
     layer = Gatv2Layer(d_in=3, d_out=4, rng=rng)
-    alphas, edges = attention_coeffs(layer, rng.normal(size=(2, 3)), graph)
-    np.testing.assert_allclose(alphas[0], 1.0, atol=1e-15)
+    h = dc.Tensor(rng.normal(size=(2, 3)))
+    alphas = layer.coefficients(h, h, graph.directed_edges())
+    np.testing.assert_allclose(alphas[0].data, 1.0, atol=1e-15)
 
 
 def test_identical_neighbors_split_half():
@@ -65,9 +66,10 @@ def test_identical_neighbors_split_half():
     H = np.zeros((3, 3))
     H[1] = H[2] = [1.0, -2.0, 0.5]
     layer = Gatv2Layer(d_in=3, d_out=4, rng=rng)
-    alphas, (dst, src, _) = attention_coeffs(layer, H, graph)
-    mask = dst == 0
-    np.testing.assert_allclose(alphas[0][mask], 0.5, atol=1e-15)
+    h = dc.Tensor(H)
+    dst, src, w = graph.directed_edges()
+    alphas = layer.coefficients(h, h, (dst, src, w))
+    np.testing.assert_allclose(alphas[0].data[dst == 0], 0.5, atol=1e-15)
 
 
 @pytest.mark.parametrize("heads", [1, 2])
@@ -75,23 +77,27 @@ def test_coefficients_match_dense_oracle(heads):
     rng = np.random.default_rng(2)
     graph, X = random_graph(rng)
     layer = Gatv2Layer(d_in=3, d_out=4, heads=heads, rng=rng)
-    alphas, (dst, src, _) = attention_coeffs(layer, X, graph)
+    h = dc.Tensor(X)
+    dst, src, w = graph.directed_edges()
+    alphas = layer.coefficients(h, h, (dst, src, w))
     oracle = dense_attention_oracle(layer, X, graph)
     for head in range(heads):
         for k in range(len(dst)):
-            assert alphas[head][k] == pytest.approx(oracle[(head, int(dst[k]), int(src[k]))],
-                                                    abs=1e-12)
+            assert alphas[head].data[k] == pytest.approx(
+                oracle[(head, int(dst[k]), int(src[k]))], abs=1e-12)
 
 
 def test_alpha_sums_to_one_per_node():
     rng = np.random.default_rng(3)
     graph, X = random_graph(rng, n=15)
     layer = Gatv2Layer(d_in=3, d_out=4, rng=rng)
-    alphas, (dst, _, _) = attention_coeffs(layer, X, graph)
+    h = dc.Tensor(X)
+    dst, src, w = graph.directed_edges()
+    alphas = layer.coefficients(h, h, (dst, src, w))
     for i in range(graph.n):
         mask = dst == i
         if mask.any():
-            assert abs(alphas[0][mask].sum() - 1.0) < 1e-12
+            assert abs(alphas[0].data[mask].sum() - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +108,8 @@ def test_isolated_node_outputs_zero():
     rng = np.random.default_rng(4)
     graph = cg.CoGraph.from_edges(3, [(0, 1, 1.0)], c_max=1)
     layer = Gatv2Layer(d_in=2, d_out=4, rng=rng)
-    out = gatv2_forward(layer, rng.normal(size=(3, 2)), graph)
+    h = dc.Tensor(rng.normal(size=(3, 2)))
+    out = layer.forward(h, h, graph.directed_edges(), graph.n).data
     np.testing.assert_array_equal(out[2], 0.0)
 
 
@@ -112,7 +119,8 @@ def test_single_neighbor_selects_transformed_value():
     graph = cg.CoGraph.from_edges(2, [(0, 1, 0.9)], c_max=1)
     H = rng.normal(size=(2, 3))
     layer = Gatv2Layer(d_in=3, d_out=4, rng=rng)
-    out = gatv2_forward(layer, H, graph)
+    h = dc.Tensor(H)
+    out = layer.forward(h, h, graph.directed_edges(), graph.n).data
     expected = layer.W_val[0].data @ H[1]
     slope = layer.prelu.data[0]
     expected = np.where(expected >= 0, expected, slope * expected)
@@ -146,7 +154,7 @@ def test_empty_graph_encodes_to_zero():
     rng = np.random.default_rng(7)
     graph = cg.CoGraph.from_edges(4, [(0, 1, 1.0)], c_max=1)
     enc = SkipEncoder(d_feat=3, d_hidden=6, d_out=5, rng=rng)
-    out = encode(enc, rng.normal(size=(4, 3)), graph)
+    out = enc.encode_full(rng.normal(size=(4, 3)), graph).data
     # nodes 2, 3 are isolated at both layers
     np.testing.assert_array_equal(out[2], 0.0)
     np.testing.assert_array_equal(out[3], 0.0)
@@ -173,11 +181,11 @@ def test_sampled_equals_full_when_fanout_exhaustive():
     rng = np.random.default_rng(9)
     graph, X = random_graph(rng, n=14, p=0.5)
     enc = SkipEncoder(d_feat=3, d_hidden=6, d_out=5, rng=rng)
-    full = encode(enc, X, graph)
+    full = enc.encode_full(X, graph).data
     max_deg = max(graph.degree(i) for i in range(graph.n))
     sample = cg.sample_neighbors(graph, np.arange(graph.n), (max_deg, max_deg),
                                  np.random.default_rng(0))
-    sampled = encode(enc, X, sample)
+    sampled = enc.encode_sampled(X, sample).data
     np.testing.assert_allclose(sampled, full, atol=1e-12)
 
 
@@ -188,8 +196,8 @@ def test_sampled_subset_of_seeds():
     max_deg = max(graph.degree(i) for i in range(graph.n))
     seeds = np.array([3, 7, 11])
     sample = cg.sample_neighbors(graph, seeds, (max_deg, max_deg), np.random.default_rng(1))
-    sampled = encode(enc, X, sample)
-    full = encode(enc, X, graph)
+    sampled = enc.encode_sampled(X, sample).data
+    full = enc.encode_full(X, graph).data
     np.testing.assert_allclose(sampled, full[seeds], atol=1e-12)
 
 
@@ -197,14 +205,14 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(11)
     graph, X = random_graph(rng, n=10, p=0.5)
     enc = SkipEncoder(d_feat=3, d_hidden=4, d_out=4, rng=rng)
-    out = encode(enc, X, graph)
+    out = enc.encode_full(X, graph).data
 
     perm = rng.permutation(graph.n)
     inv = np.argsort(perm)
     triples_p = [(min(int(perm[i]), int(perm[j])), max(int(perm[i]), int(perm[j])), w)
                  for i, j, w in graph.edge_triples()]
     graph_p = cg.CoGraph.from_edges(graph.n, triples_p, c_max=graph.c_max)
-    out_p = encode(enc, X[inv], graph_p)
+    out_p = enc.encode_full(X[inv], graph_p).data
     np.testing.assert_allclose(out_p[perm], out, atol=1e-10)
 
 
@@ -216,46 +224,6 @@ def test_checkpoint_roundtrip_through_container(tmp_path):
     twin = SkipEncoder(d_feat=3, d_hidden=4, d_out=4, rng=np.random.default_rng(99))
     twin.load_state_dict(dc.load_tensors(path))
     graph, X = random_graph(np.random.default_rng(13))
-    np.testing.assert_array_equal(encode(enc, X, graph), encode(twin, X, graph))
+    np.testing.assert_array_equal(enc.encode_full(X, graph).data,
+                                  twin.encode_full(X, graph).data)
 
-
-# ---------------------------------------------------------------------------
-# inductive embedding
-# ---------------------------------------------------------------------------
-
-def test_cold_item_is_zero_path():
-    rng = np.random.default_rng(14)
-    graph, X = random_graph(rng, n=8)
-    enc = SkipEncoder(d_feat=3, d_hidden=4, d_out=4, rng=rng)
-    out = inductive_embed(enc, graph, X, np.zeros(3), [])
-    np.testing.assert_array_equal(out, 0.0)
-
-
-def test_cold_item_ignores_unrelated_edges():
-    rng = np.random.default_rng(15)
-    graph, X = random_graph(rng, n=8, p=0.5)
-    enc = SkipEncoder(d_feat=3, d_hidden=4, d_out=4, rng=rng)
-    row = rng.normal(size=3)
-    out1 = inductive_embed(enc, graph, X, row, [])
-    smaller = cg.CoGraph.from_edges(graph.n, graph.edge_triples()[:2], c_max=graph.c_max)
-    out2 = inductive_embed(enc, smaller, X, row, [])
-    np.testing.assert_array_equal(out1, out2)
-
-
-def test_clone_of_existing_node_matches_its_embedding():
-    rng = np.random.default_rng(16)
-    graph, X = random_graph(rng, n=12, p=0.5)
-    enc = SkipEncoder(d_feat=3, d_hidden=5, d_out=4, rng=rng)
-    full = encode(enc, X, graph)
-    k = 4
-    nbrs, ws = graph.neighbors(k)
-    clone = inductive_embed(enc, graph, X, X[k], list(zip(nbrs.tolist(), ws.tolist())))
-    np.testing.assert_allclose(clone, full[k], atol=1e-10)
-
-
-def test_feature_width_mismatch_errors():
-    rng = np.random.default_rng(17)
-    graph, X = random_graph(rng, n=6)
-    enc = SkipEncoder(d_feat=3, d_hidden=4, d_out=4, rng=rng)
-    with pytest.raises(Exception, match="inductive_embed"):
-        inductive_embed(enc, graph, X, np.zeros(5), [])

@@ -85,9 +85,11 @@ def test_indexed_queries_equal_reference(case):
 def test_index_keeps_session_views():
     corpus = _corpus([[3, 1, 3], [1, 2]], [5, 5], ["b", "a"])
     index = kr.index_sessions(corpus)
-    assert index.sessions[0].items == (3, 1, 3)
-    assert index.sessions[0].item_set == frozenset({1, 3})
-    assert index.by_item == {1: [0, 1], 2: [1], 3: [0]}
+    assert index.items[index.indptr[0]:index.indptr[1]].tolist() == [1, 3]
+    assert index.items[index.indptr[1]:index.indptr[2]].tolist() == [1, 2]
+    holding = {x: index.order[index.post_ranks[index.post_indptr[x]:index.post_indptr[x + 1]]]
+               for x in range(index.n_items)}
+    assert {x: p.tolist() for x, p in holding.items()} == {0: [], 1: [0, 1], 2: [1], 3: [0]}
     assert index.order.tolist() == [0, 1]      # equal timestamps: id "b" first
     assert index.rank[index.order].tolist() == [0, 1]
 

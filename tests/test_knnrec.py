@@ -115,10 +115,18 @@ def _random_setup(rng, n_items=30, n_sessions=200):
 # index_sessions
 # ---------------------------------------------------------------------------
 
+def _holding(index, item):
+    """Positions of the indexed sessions whose posting list holds `item`."""
+    if item >= index.n_items:
+        return []
+    lo, hi = index.post_indptr[item], index.post_indptr[item + 1]
+    return sorted(index.order[index.post_ranks[lo:hi]].tolist())
+
+
 def test_inverted_index_has_both_sessions():
     index = kr.index_sessions(_corpus([[0, 1], [0, 2]]))
-    assert sorted(index.by_item[0]) == [0, 1]
-    assert index.by_item[1] == [0]
+    assert _holding(index, 0) == [0, 1]
+    assert _holding(index, 1) == [0]
 
 
 def test_index_matches_linear_scan():
@@ -126,7 +134,7 @@ def test_index_matches_linear_scan():
     item_lists, _, _, index = _random_setup(rng)
     for item in range(30):
         expected = [i for i, items in enumerate(item_lists) if item in set(items)]
-        assert sorted(index.by_item.get(item, [])) == expected
+        assert _holding(index, item) == expected
 
 
 def test_query_with_no_matches_is_empty():
@@ -282,7 +290,7 @@ def test_r_range_invariant():
     for _ in range(20):
         query = list({int(rng.integers(0, 15)) for _ in range(rng.integers(1, 5))})
         for nb in kr.find_neighbors(query, index, cfg, emb):
-            cand = index.sessions[nb.position].item_set
+            cand = set(item_lists[nb.position])
             bound = math.sqrt(len(set(query)) * len(cand))
             assert 0.0 <= nb.similarity <= bound + 1e-12
 
