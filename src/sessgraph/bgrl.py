@@ -199,6 +199,9 @@ def train_embeddings(graph: CoGraph, config: TrainConfig) -> TrainResult:
                     f"non-finite loss at epoch {epoch} batch {lo // config.batch_size}; "
                     f"recent losses: {loss_history[-5:]}"
                 ) from exc
+            # the tape holds every activation of the batch; free it before the
+            # optimizer step rather than when the next batch rebinds it
+            del tape, loss
             dc.adamw_step(state.optimizer, params)
             ema_update(state.target, state.online, state.ema_decay)
             batch_losses.append(value)

@@ -35,8 +35,15 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray):
+    def _accumulate(self, g: np.ndarray, owned: bool = False):
+        """grad += g, starting from zeros. With owned=True the caller hands
+        over g, a new array of grad's shape that nothing else references, and
+        a first gradient is kept as g itself rather than copied."""
         if self.grad is None:
+            if owned:
+                g += 0.0    # turns -0.0 into +0.0, as zeros + g does
+                self.grad = g
+                return
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
@@ -89,7 +96,9 @@ class pause_recording:
 def backward(tape: Tape, loss: Tensor):
     """Populate grad slots of every requires_grad tensor reachable from loss.
 
-    Intermediate (op-output) gradients are reset per call, so repeated calls
+    Intermediate (op-output) gradients are reset per call, and each one is
+    freed as soon as its own adjoint has run, so after the call every op
+    output's grad is None and only the leaves hold gradients. Repeated calls
     without zeroing accumulate one full gradient copy into the leaf
     parameters each time. The loss must be scalar.
     """
@@ -98,13 +107,27 @@ def backward(tape: Tape, loss: Tensor):
     for out, _ in tape._records:
         out.grad = None
     loss._accumulate(np.ones_like(loss.data))
-    for _, fn in reversed(tape._records):
+    for out, fn in reversed(tape._records):
         fn()
+        out.grad = None
 
 
 def zero_grads(params):
     for p in params:
         p.zero_grad()
+
+
+def _scatter_add_rows(idx: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
+    """out[r] = sum of values[i] over idx[i] == r, added in index order.
+
+    A bincount per column starts each cell at +0.0 and adds its terms in
+    input order, as np.add.at into zeros does, so the two agree bit for bit;
+    bincount is the faster one.
+    """
+    out = np.zeros((rows, values.shape[1]))
+    for j in range(values.shape[1]):
+        out[:, j] = np.bincount(idx, weights=values[:, j], minlength=rows)
+    return out
 
 
 def _finite_or_raise(op: str, out: np.ndarray):
@@ -262,9 +285,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, idx, g)
-            a._accumulate(acc)
+            a._accumulate(_scatter_add_rows(idx, g, a.shape[0]))
 
     _record(out, (a,), _bw)
     return out
@@ -356,10 +377,7 @@ def segment_weighted_sum(values: Tensor, weights: Tensor, segment_ids, num_segme
         raise ShapeError("segment_ids", seg.shape)
     if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
         raise ShapeError("segment_weighted_sum", seg.shape, (num_segments,))
-    acc = np.zeros((num_segments, values.shape[1]))
-    if seg.size:
-        np.add.at(acc, seg, values.data * weights.data[:, None])
-    out = Tensor(acc)
+    out = Tensor(_scatter_add_rows(seg, values.data * weights.data[:, None], num_segments))
     _finite_or_raise("segment_weighted_sum", out.data)
 
     def _bw(g):
@@ -441,7 +459,8 @@ def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
         raise ShapeError("cross_entropy_with_logits", logits.shape, (int(tgt.max()),))
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(z - zmax), axis=1)) + zmax[:, 0]
+    ez = np.exp(z - zmax)
+    lse = np.log(np.sum(ez, axis=1)) + zmax[:, 0]
     ce = lse - z[np.arange(z.shape[0]), tgt]
     out = Tensor(np.asarray(ce.mean()))
     _finite_or_raise("cross_entropy_with_logits", out.data)
@@ -449,10 +468,11 @@ def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
 
     def _bw(g):
         if logits.requires_grad:
-            p = np.exp(z - zmax)
-            p /= p.sum(axis=1, keepdims=True)
+            # a new array: ez must survive for a repeated backward on this tape
+            p = ez / ez.sum(axis=1, keepdims=True)
             p[np.arange(batch), tgt] -= 1.0
-            logits._accumulate(p * (float(g) / batch))
+            p *= float(g) / batch
+            logits._accumulate(p, owned=True)
 
     _record(out, (logits,), _bw)
     return out

@@ -9,6 +9,7 @@ scaled-uniform draw or as an exact copy of graph-pretrained embeddings.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -45,6 +46,40 @@ def init_table(mode: str, m: int, d: int, rng: np.random.Generator | None = None
     raise ValueError(f"unknown init mode {mode!r}")
 
 
+@dataclass(frozen=True)
+class FlatPrefixes:
+    """Prefix samples as flat arrays: sample i predicts targets[i] from
+    items[indptr[i]:indptr[i + 1]]."""
+
+    indptr: np.ndarray
+    items: np.ndarray
+    targets: np.ndarray
+
+    @classmethod
+    def of(cls, prefixes: list[PrefixSample]) -> FlatPrefixes:
+        lengths = np.fromiter((len(p.prefix) for p in prefixes), dtype=np.int64,
+                              count=len(prefixes))
+        indptr = np.zeros(len(prefixes) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        items = np.fromiter(itertools.chain.from_iterable(p.prefix for p in prefixes),
+                            dtype=np.int64, count=int(indptr[-1]))
+        targets = np.fromiter((p.target for p in prefixes), dtype=np.int64,
+                              count=len(prefixes))
+        return cls(indptr, items, targets)
+
+    def __len__(self):
+        return len(self.targets)
+
+    def take(self, rows: np.ndarray) -> FlatPrefixes:
+        """The samples at positions `rows`, in that order."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        flat = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return FlatPrefixes(indptr, self.items[flat], self.targets[rows])
+
+
 class NextItemModel:
     """Mean-pooled session representation with tied input/output embeddings."""
 
@@ -52,17 +87,14 @@ class NextItemModel:
         self.table = table
         self.m, self.d = table.shape
 
-    def batch_loss(self, prefixes: list[PrefixSample]) -> dc.Tensor:
-        idx = np.concatenate([np.asarray(p.prefix, dtype=np.int64) for p in prefixes])
-        seg = np.repeat(np.arange(len(prefixes)), [len(p.prefix) for p in prefixes])
-        inv_len = np.concatenate([
-            np.full(len(p.prefix), 1.0 / len(p.prefix)) for p in prefixes
-        ])
-        targets = np.array([p.target for p in prefixes], dtype=np.int64)
-        rows = dc.gather_rows(self.table, idx)
-        pooled = dc.segment_weighted_sum(rows, dc.Tensor(inv_len), seg, len(prefixes))
+    def batch_loss(self, batch: FlatPrefixes) -> dc.Tensor:
+        lengths = np.diff(batch.indptr)
+        seg = np.repeat(np.arange(len(batch)), lengths)
+        inv_len = np.repeat(1.0 / lengths, lengths)
+        rows = dc.gather_rows(self.table, batch.items)
+        pooled = dc.segment_weighted_sum(rows, dc.Tensor(inv_len), seg, len(batch))
         logits = dc.matmul(pooled, dc.transpose(self.table))
-        return dc.cross_entropy_with_logits(logits, targets)
+        return dc.cross_entropy_with_logits(logits, batch.targets)
 
     def scores(self, prefix) -> np.ndarray:
         """Inference-time scores over the whole catalog."""
@@ -73,7 +105,7 @@ class NextItemModel:
         """1-based rank under descending score, ties by ascending index."""
         s = self.scores(prefix)
         ts = s[target]
-        return 1 + int(np.sum(s > ts) + np.sum((s == ts) & (np.arange(self.m) < target)))
+        return 1 + int(np.count_nonzero(s > ts) + np.count_nonzero(s[:target] == ts))
 
 
 def evaluate_ranks(model: NextItemModel, prefixes: list[PrefixSample], k: int = 10):
@@ -122,13 +154,14 @@ def train_next(model: NextItemModel, train_prefixes: list[PrefixSample],
     """Minibatch Adam on cross-entropy; records validation HR/MRR per epoch."""
     rng = np.random.default_rng(config.seed)
     opt = dc.OptimizerState([model.table], lr=config.lr)
+    flat = FlatPrefixes.of(train_prefixes)
     records = []
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         order = rng.permutation(len(train_prefixes))
         losses = []
         for lo in range(0, len(order), config.batch_size):
-            batch = [train_prefixes[i] for i in order[lo:lo + config.batch_size]]
+            batch = flat.take(order[lo:lo + config.batch_size])
             try:
                 with dc.Tape() as tape:
                     loss = model.batch_loss(batch)
@@ -138,6 +171,7 @@ def train_next(model: NextItemModel, train_prefixes: list[PrefixSample],
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} batch {lo // config.batch_size}: {exc}"
                 ) from exc
+            del tape    # free the batch's activations before the next batch builds its own
             dc.adam_step(opt, [model.table])
             losses.append(float(loss.data))
         hr, mrr = evaluate_ranks(model, val_prefixes, config.eval_k)

@@ -8,6 +8,7 @@ functions are pure over their inputs and deterministic.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -126,6 +127,8 @@ class DelimitedFormat:
 
 
 REQUIRED_COLUMNS = ("session_id", "item_id", "timestamp")
+# the corpus, catalog and embedding text files end an id at whitespace
+_WHITESPACE = re.compile(r"\s")
 
 
 def load_interactions(source, schema: FeatureSchema,
@@ -133,8 +136,9 @@ def load_interactions(source, schema: FeatureSchema,
     """Parse a UTF-8 delimited log with a header row.
 
     Expected columns: session_id, item_id, timestamp, then the schema's
-    features in order. Rows with a missing item_id or an unparseable or
-    negative timestamp raise RowError carrying the 1-based data row index.
+    features in order. Rows with a missing session_id, a missing item_id,
+    an item_id containing whitespace, or an unparseable or negative
+    timestamp raise RowError carrying the 1-based data row index.
     """
     if isinstance(source, (bytes, bytearray)):
         text = bytes(source).decode("utf-8")
@@ -163,8 +167,12 @@ def load_interactions(source, schema: FeatureSchema,
         if len(parts) != n_fields:
             raise RowError(row_idx, f"expected {n_fields} fields, got {len(parts)}")
         sid, item, ts_raw = parts[0].strip(), parts[1].strip(), parts[2].strip()
+        if not sid:
+            raise RowError(row_idx, "missing session_id")
         if not item:
             raise RowError(row_idx, "missing item_id")
+        if _WHITESPACE.search(item):
+            raise RowError(row_idx, f"item_id {item!r} contains whitespace")
         try:
             ts = int(ts_raw)
         except ValueError:
@@ -189,7 +197,9 @@ def sessionize(interactions, gap_seconds: int | None = SESSION_GAP_SECONDS) -> l
     """Group by session_id, order by timestamp, and split runs at gaps.
 
     Consecutive interactions stay together while their gap is <= gap_seconds;
-    gap_seconds=None disables splitting (logs with trusted session ids).
+    gap_seconds=None disables splitting (logs with trusted session ids). The
+    k-th run of a split session is named f"{session_id}#{k}"; if that name
+    is also the id of an unsplit session, DataError is raised.
     """
     if gap_seconds is not None and gap_seconds <= 0:
         raise DataError(f"gap_seconds must be positive, got {gap_seconds}")
@@ -202,6 +212,7 @@ def sessionize(interactions, gap_seconds: int | None = SESSION_GAP_SECONDS) -> l
         by_sid[it.session_id].append(it)
 
     sessions = []
+    names: set[str] = set()
     for sid in order:
         group = sorted(by_sid[sid], key=lambda it: it.timestamp)
         runs: list[list[Interaction]] = [[group[0]]]
@@ -215,6 +226,9 @@ def sessionize(interactions, gap_seconds: int | None = SESSION_GAP_SECONDS) -> l
             runs[0].extend(group[1:])
         for k, run in enumerate(runs):
             run_id = sid if len(runs) == 1 else f"{sid}#{k}"
+            if run_id in names:
+                raise DataError(f"two sessions are named {run_id!r} after gap splitting")
+            names.add(run_id)
             sessions.append(RawSession(run_id, tuple(it.item_id for it in run),
                                        run[0].timestamp))
     return sessions

@@ -207,6 +207,17 @@ def test_bad_config_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_heads_must_divide_embedding_dims(tmp_path):
+    with pytest.raises(ConfigError, match="embed.heads"):
+        resolve_config({"embed": {"heads": 3}})
+    with pytest.raises(ConfigError, match="embed.hidden_dim"):
+        resolve_config({"embed": {"heads": 4, "dim": 8, "hidden_dim": 6}})
+    assert resolve_config({"embed": {"heads": 4, "dim": 8, "hidden_dim": 12}})
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"embed": {"heads": 3}}), encoding="utf-8")
+    assert cli.main(["train-embed", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+
+
 def test_config_file_not_json_exit_code(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text("not json", encoding="utf-8")

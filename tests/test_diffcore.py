@@ -6,8 +6,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sessgraph import diffcore as dc
+from sessgraph.diffcore.tensor import _scatter_add_rows
 from sessgraph.errors import DataError, NumericError, ShapeError
 
 FD_H = 1e-5
@@ -123,6 +126,82 @@ def test_gradients_accumulate_across_backward_calls():
     first = x.grad.copy()
     dc.backward(tape, loss)
     np.testing.assert_allclose(x.grad, 2 * first)
+
+
+# signed zeros, and magnitudes far enough apart that the summation order shows
+_SCATTER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e16, -1e16, 3.0e300]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def _scatter_cases(draw):
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 24)) if rows else 0
+    idx = np.array(draw(st.lists(st.integers(0, max(rows - 1, 0)), min_size=n, max_size=n)),
+                   dtype=np.intp)
+    values = np.array(draw(st.lists(_SCATTER_VALUES, min_size=n * cols, max_size=n * cols)),
+                      dtype=np.float64).reshape(n, cols)
+    return idx, values, rows
+
+
+@given(_scatter_cases())
+def test_scatter_add_rows_is_bitwise_add_at(case):
+    idx, values, rows = case
+    expected = np.zeros((rows, values.shape[1]))
+    np.add.at(expected, idx, values)
+    out = _scatter_add_rows(idx, values, rows)
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_owned_first_gradient_has_the_bytes_of_zeros_plus_g():
+    g = np.array([[-0.0, 0.0, 1e-300], [-2.5, 3.0, -1e16]])
+    t = dc.Tensor(np.ones((2, 3)))
+    t._accumulate(g.copy(), owned=True)
+    assert t.grad.tobytes() == (np.zeros((2, 3)) + g).tobytes()
+    t._accumulate(g.copy(), owned=True)
+    assert t.grad.tobytes() == (np.zeros((2, 3)) + g + g).tobytes()
+
+
+def _pooled_softmax_loss(table, weights, out_w):
+    """A loss through gather_rows, segment_weighted_sum and cross_entropy, plus
+    every op output it made. Each leaf gets one gradient term per backward."""
+    rows = dc.gather_rows(table, [0, 2, 2, 1, 3])
+    pooled = dc.segment_weighted_sum(rows, weights, [0, 0, 1, 1, 1], 2)
+    logits = dc.matmul(pooled, out_w)
+    loss = dc.cross_entropy_with_logits(logits, [3, 0])
+    return loss, [rows, pooled, logits, loss]
+
+
+def _leaves(seed):
+    rng = np.random.default_rng(seed)
+    return (dc.Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+            dc.Tensor(rng.uniform(0.1, 1.0, size=5), requires_grad=True),
+            dc.Tensor(rng.normal(size=(3, 4)), requires_grad=True))
+
+
+def test_backward_frees_op_output_gradients():
+    leaves = _leaves(11)
+    with dc.Tape() as tape:
+        loss, outputs = _pooled_softmax_loss(*leaves)
+    dc.backward(tape, loss)
+    assert all(out.grad is None for out, _ in tape._records)
+    assert all(out.grad is None for out in outputs)
+    assert all(leaf.grad is not None for leaf in leaves)
+
+
+def test_second_backward_doubles_leaf_gradients_exactly():
+    leaves = _leaves(12)
+    with dc.Tape() as tape:
+        loss, _ = _pooled_softmax_loss(*leaves)
+    dc.backward(tape, loss)
+    first = [leaf.grad.copy() for leaf in leaves]
+    dc.backward(tape, loss)
+    for leaf, g in zip(leaves, first):
+        assert np.array_equal(leaf.grad, 2 * g)
 
 
 def test_cross_segment_gradient_is_exactly_zero():

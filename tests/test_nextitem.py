@@ -55,14 +55,15 @@ def test_softmax_normalization():
 def test_single_item_catalog_loss_is_zero():
     model = ni.NextItemModel(ni.init_table(ni.SCALED_UNIFORM, 1, 3,
                                            rng=np.random.default_rng(0)))
-    loss = model.batch_loss([PrefixSample((0,), 0)])
+    loss = model.batch_loss(ni.FlatPrefixes.of([PrefixSample((0,), 0)]))
     assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_embedding_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     model = ni.NextItemModel(ni.init_table(ni.SCALED_UNIFORM, 5, 3, rng=rng))
-    batch = [PrefixSample((0, 1), 2), PrefixSample((3,), 4), PrefixSample((2, 4, 1), 0)]
+    batch = ni.FlatPrefixes.of(
+        [PrefixSample((0, 1), 2), PrefixSample((3,), 4), PrefixSample((2, 4, 1), 0)])
 
     def build_loss():
         return model.batch_loss(batch)
@@ -72,6 +73,53 @@ def test_embedding_gradient_matches_finite_differences():
     dc.backward(tape, loss)
     fd = finite_diff_grad(lambda: float(build_loss().data), model.table.data)
     assert rel_err(model.table.grad, fd) < 1e-4
+
+
+def _list_built_loss(model, prefixes):
+    """batch_loss as built from per-prefix Python lists."""
+    idx = np.concatenate([np.asarray(p.prefix, dtype=np.int64) for p in prefixes])
+    seg = np.repeat(np.arange(len(prefixes)), [len(p.prefix) for p in prefixes])
+    inv_len = np.concatenate([np.full(len(p.prefix), 1.0 / len(p.prefix)) for p in prefixes])
+    targets = np.array([p.target for p in prefixes], dtype=np.int64)
+    rows = dc.gather_rows(model.table, idx)
+    pooled = dc.segment_weighted_sum(rows, dc.Tensor(inv_len), seg, len(prefixes))
+    logits = dc.matmul(pooled, dc.transpose(model.table))
+    return dc.cross_entropy_with_logits(logits, targets)
+
+
+def _loss_and_grad(model, build):
+    model.table.zero_grad()
+    with dc.Tape() as tape:
+        loss = build()
+    dc.backward(tape, loss)
+    return loss.data.tobytes(), model.table.grad.tobytes()
+
+
+def test_flat_prefix_batch_loss_equals_list_built_bitwise():
+    rng = np.random.default_rng(8)
+    m = 30
+    model = ni.NextItemModel(ni.init_table(ni.SCALED_UNIFORM, m, 6, rng=rng))
+    prefixes = [PrefixSample(tuple(int(i) for i in rng.integers(0, m, rng.integers(1, 8))),
+                             int(rng.integers(0, m))) for _ in range(200)]
+    flat = ni.FlatPrefixes.of(prefixes)
+    assert len(flat) == 200
+    for rows in (np.arange(200), rng.permutation(200)[:64], np.array([5]), np.array([], int)):
+        batch = [prefixes[i] for i in rows]
+        taken = flat.take(rows)
+        expected = ni.FlatPrefixes.of(batch)
+        for got, want in zip((taken.indptr, taken.items, taken.targets),
+                             (expected.indptr, expected.items, expected.targets)):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+        if len(rows):
+            assert (_loss_and_grad(model, lambda: model.batch_loss(taken))
+                    == _loss_and_grad(model, lambda: _list_built_loss(model, batch)))
+
+
+def test_target_rank_breaks_ties_by_ascending_index():
+    model = ni.NextItemModel(dc.Tensor(np.array([[1.0], [2.0], [1.0], [2.0], [0.5]])))
+    # scores against prefix (0,): [1, 2, 1, 2, 0.5]
+    assert [model.target_rank((0,), t) for t in range(5)] == [3, 1, 4, 2, 5]
+    assert isinstance(model.target_rank((0,), 0), int)
 
 
 def test_pretrained_table_remains_trainable():

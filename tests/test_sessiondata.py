@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sessgraph import sessiondata as sd
-from sessgraph.errors import EmptyCorpusError, RowError, SchemaError, SplitError
+from sessgraph.errors import DataError, EmptyCorpusError, RowError, SchemaError, SplitError
 
 SCHEMA = sd.FeatureSchema((("category", sd.CATEGORICAL), ("price", sd.NUMERIC)))
 
@@ -31,6 +31,22 @@ def test_load_three_valid_rows():
 
 def test_load_rejects_empty_item_id():
     text = _csv(["s1,a,10,books,3.5", "s1,,20,music,1.0"])
+    with pytest.raises(RowError, match="row 2"):
+        sd.load_interactions(text, SCHEMA)
+
+
+def test_load_rejects_empty_session_id():
+    # the corpus file starts each line with the session id; an empty one
+    # would read back with its first item taken for the id
+    text = _csv(["s1,a,10,books,3.5", " ,b,20,music,1.0"])
+    with pytest.raises(RowError, match="row 2"):
+        sd.load_interactions(text, SCHEMA)
+
+
+@pytest.mark.parametrize("item", ["a b", "a\tb", "a\u00a0b"])
+def test_load_rejects_item_id_with_inner_whitespace(item):
+    # embeddings.txt and catalog.ids separate the id from what follows by whitespace
+    text = _csv(["s1,a,10,books,3.5", f"s1,{item},20,music,1.0"])
     with pytest.raises(RowError, match="row 2"):
         sd.load_interactions(text, SCHEMA)
 
@@ -84,6 +100,17 @@ def test_sessionize_splits_on_gap():
 def test_sessionize_single_interaction():
     out = sd.sessionize([sd.Interaction("u", "a", 5, ())])
     assert len(out) == 1 and out[0].items == ("a",)
+
+
+def test_sessionize_rejects_split_name_taken_by_another_session():
+    inter = [sd.Interaction("a", "x", 0, ()), sd.Interaction("a", "y", 5000, ()),
+             sd.Interaction("a#1", "z", 10, ())]
+    with pytest.raises(DataError, match="a#1"):
+        sd.sessionize(inter, gap_seconds=1800)
+    # a session named like a split run is fine while its own runs are renamed
+    inter.append(sd.Interaction("a#1", "w", 9000, ()))
+    assert [s.session_id for s in sd.sessionize(inter, gap_seconds=1800)] == [
+        "a#0", "a#1", "a#1#0", "a#1#1"]
 
 
 def test_sessionize_no_gap_split_when_disabled():
