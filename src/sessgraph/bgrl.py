@@ -18,17 +18,18 @@ import numpy as np
 
 from . import diffcore as dc
 from .cograph import CoGraph, sample_neighbors
+from .config import DEFAULTS
 from .encoder import PRELU_INIT, SkipEncoder, _glorot
 from .errors import DataError, NumericError
 from .sessiondata import ItemCatalog
 
-EMA_DECAY = 0.99
+_EMBED = DEFAULTS["embed"]
 
 
 @dataclass(frozen=True)
 class ViewConfig:
-    feature_mask_prob: float = 0.1
-    edge_drop_prob: float = 0.2
+    feature_mask_prob: float = _EMBED["view1"]["feature_mask_prob"]
+    edge_drop_prob: float = _EMBED["view1"]["edge_drop_prob"]
 
     def __post_init__(self):
         for name in ("feature_mask_prob", "edge_drop_prob"):
@@ -39,8 +40,8 @@ class ViewConfig:
 
 @dataclass(frozen=True)
 class AugmentationConfig:
-    view1: ViewConfig = ViewConfig(0.1, 0.2)
-    view2: ViewConfig = ViewConfig(0.2, 0.4)
+    view1: ViewConfig = ViewConfig(**_EMBED["view1"])
+    view2: ViewConfig = ViewConfig(**_EMBED["view2"])
 
 
 def augment(graph: CoGraph, view: ViewConfig, rng: np.random.Generator) -> CoGraph:
@@ -82,13 +83,13 @@ class BgrlState:
     online: SkipEncoder
     target: SkipEncoder
     predictor: Predictor
-    ema_decay: float = EMA_DECAY
+    ema_decay: float = _EMBED["ema_decay"]
     optimizer: dc.OptimizerState | None = None
 
     @classmethod
-    def create(cls, d_feat: int, d_hidden: int, d_out: int, heads: int = 1,
-               ema_decay: float = EMA_DECAY, lr: float = 1e-3,
-               weight_decay: float = 1e-5,
+    def create(cls, d_feat: int, d_hidden: int, d_out: int, heads: int = _EMBED["heads"],
+               ema_decay: float = _EMBED["ema_decay"], lr: float = _EMBED["lr"],
+               weight_decay: float = _EMBED["weight_decay"],
                rng: np.random.Generator | None = None) -> "BgrlState":
         rng = rng or np.random.default_rng(0)
         online = SkipEncoder(d_feat, d_hidden, d_out, heads=heads, rng=rng)
@@ -140,7 +141,8 @@ def bgrl_loss(state: BgrlState, view1: CoGraph, view2: CoGraph, seeds,
     return dc.add(two, dc.add(dc.scale(cos1, -1.0), dc.scale(cos2, -1.0)))
 
 
-def ema_update(target: SkipEncoder, online: SkipEncoder, decay: float = EMA_DECAY):
+def ema_update(target: SkipEncoder, online: SkipEncoder,
+               decay: float = _EMBED["ema_decay"]):
     """p_target <- decay * p_target + (1 - decay) * p_online, parameter-wise."""
     online_params = dict(online.parameters())
     for name, p in target.parameters():
@@ -149,15 +151,15 @@ def ema_update(target: SkipEncoder, online: SkipEncoder, decay: float = EMA_DECA
 
 @dataclass
 class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 256
-    fanouts: tuple[int, int] | None = (10, 5)
-    lr: float = 1e-3
-    weight_decay: float = 1e-5
-    ema_decay: float = EMA_DECAY
-    d_hidden: int = 128
-    d_out: int = 128
-    heads: int = 1
+    epochs: int = _EMBED["epochs"]
+    batch_size: int = _EMBED["batch_size"]
+    fanouts: tuple[int, int] | None = tuple(_EMBED["fanouts"])
+    lr: float = _EMBED["lr"]
+    weight_decay: float = _EMBED["weight_decay"]
+    ema_decay: float = _EMBED["ema_decay"]
+    d_hidden: int = _EMBED["hidden_dim"]
+    d_out: int = _EMBED["dim"]
+    heads: int = _EMBED["heads"]
     augmentation: AugmentationConfig = field(default_factory=AugmentationConfig)
     seed: int = 0
 

@@ -27,6 +27,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,13 @@ def _require(path: Path) -> Path:
     return path
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return _require(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def _schema_from_config(cfg: dict) -> FeatureSchema:
     return FeatureSchema(tuple((f["name"], f["kind"]) for f in cfg["dataset"]["features"]))
 
@@ -120,8 +128,7 @@ def save_corpus(path: Path, corpus: SessionCorpus):
 
 def load_corpus(path: Path) -> SessionCorpus:
     sessions = []
-    lines = _require(path).read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         parts = line.split()
         if len(parts) < 3:
             raise DataError(f"{path}:{lineno}: corpus line needs id, items, timestamp: {line!r}")
@@ -144,9 +151,9 @@ def save_catalog(out: Path, catalog: ItemCatalog, X: np.ndarray):
 
 
 def _catalog_ids(out: Path) -> list[str]:
-    path = _require(out / CATALOG_IDS)
+    path = out / CATALOG_IDS
     ids = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         parts = line.split(maxsplit=1)
         if len(parts) < 2:
             raise DataError(f"{path}:{lineno}: catalog line without an external id: {line!r}")
@@ -156,9 +163,9 @@ def _catalog_ids(out: Path) -> list[str]:
 
 def load_catalog(out: Path) -> tuple[ItemCatalog, np.ndarray]:
     ids = _catalog_ids(out)
-    path = _require(out / CATALOG_FEATURES)
+    path = out / CATALOG_FEATURES
     rows = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         try:
             rows.append([float(v) for v in line.split()])
         except ValueError:
@@ -169,15 +176,27 @@ def load_catalog(out: Path) -> tuple[ItemCatalog, np.ndarray]:
     if rows and len(rows) != len(ids):
         raise DataError(f"{path}: {len(rows)} feature rows for {len(ids)} ids in {CATALOG_IDS}")
     X = np.array(rows) if rows else np.zeros((len(ids), 0))
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():    # preprocess never writes one
+        raise DataError(f"{path}:{int(np.argmin(finite)) + 1}: non-finite feature value")
     return ItemCatalog(ids, {e: i for i, e in enumerate(ids)}), X
 
 
 def load_split(out: Path) -> CorpusSplit:
-    return CorpusSplit(
-        train=load_corpus(out / SESSIONS_FILES["train"]),
-        validation=load_corpus(out / SESSIONS_FILES["validation"]),
-        test=load_corpus(out / SESSIONS_FILES["test"]),
-    )
+    """The three corpora, each item id checked against the m ids of
+    catalog.ids: numpy would read -1 as item m - 1."""
+    m = len(_catalog_ids(out))
+    corpora = {}
+    for name, filename in SESSIONS_FILES.items():
+        corpus = corpora[name] = load_corpus(out / filename)
+        items = np.fromiter(chain.from_iterable(s.items for s in corpus.sessions), np.int64)
+        outside = (items < 0) | (items >= m)
+        if outside.any():
+            lineno = next(i for i, s in enumerate(corpus.sessions, start=1)
+                          if not all(0 <= x < m for x in s.items))
+            raise DataError(f"{out / filename}:{lineno}: item {items[outside][0]} "
+                            f"outside the catalog of {m} items")
+    return CorpusSplit(**corpora)
 
 
 # ---------------------------------------------------------------------------

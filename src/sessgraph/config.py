@@ -3,6 +3,12 @@
 Unknown keys are rejected and every violation is reported at once. The
 resolved (defaulted) config is echoed into each output directory so any
 artifact can be traced back to the exact parameters that produced it.
+
+DEFAULTS and the choice table CHOICES are the one home of the protocol
+values (filter thresholds, split fractions, dimensions, kNN sizes, EMA
+decay, repeats) and of the legal values of the string options. Library
+defaults and validity checks in the other modules read them from here, so
+this module imports nothing from the package but its errors.
 """
 
 from __future__ import annotations
@@ -27,9 +33,6 @@ DEFAULTS: dict = {
         "min_session_len": 2,
         "max_prefix_len": 50,
         "fractions": [0.8, 0.1, 0.1],
-    },
-    "graph": {
-        "normalization": "global-max",
     },
     "embed": {
         "dim": 128,
@@ -75,12 +78,11 @@ DEFAULTS: dict = {
     },
 }
 
-_CHOICES = {
+CHOICES = {
     "task": ("knn", "nextitem"),
     "knn.base_mode": ("sknn", "v-sknn"),
     "knn.gcnext.session_scoring": ("rscore", "position"),
     "nextitem.init_mode": ("scaled-uniform", "pretrained"),
-    "graph.normalization": ("global-max",),
 }
 
 
@@ -127,7 +129,7 @@ def resolve_config(raw: dict) -> dict:
     errors: list[str] = []
     cfg = _merge(DEFAULTS, raw, "", errors)
 
-    for dotted, choices in _CHOICES.items():
+    for dotted, choices in CHOICES.items():
         node = cfg
         for part in dotted.split(".")[:-1]:
             node = node[part]
@@ -201,6 +203,9 @@ def load_config(path) -> dict:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 ({exc.reason} at byte "
+                          f"{exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     return resolve_config(raw)

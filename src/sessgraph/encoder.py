@@ -17,6 +17,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .cograph import CoGraph, NeighborSample
+from .config import DEFAULTS
 from .errors import ShapeError
 
 LEAKY_SLOPE = 0.2
@@ -98,8 +99,9 @@ class Gatv2Layer:
 class SkipEncoder:
     """Two attention layers; each layer's input gains X @ W_skip^T."""
 
-    def __init__(self, d_feat: int, d_hidden: int = 128, d_out: int = 128,
-                 heads: int = 1, d_att: int | None = None,
+    def __init__(self, d_feat: int, d_hidden: int = DEFAULTS["embed"]["hidden_dim"],
+                 d_out: int = DEFAULTS["embed"]["dim"], heads: int = DEFAULTS["embed"]["heads"],
+                 d_att: int | None = None,
                  leaky_slope: float = LEAKY_SLOPE,
                  rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import DataError
 from .knnrec import RankedList
 
 SIGNIFICANCE_LEVEL = 0.05
-DEFAULT_REPEATS = 5
-METRIC_KS = (10, 20)
+_EVAL = DEFAULTS["eval"]
+_KS = tuple(_EVAL["k_values"])
 
 
 def _ranked_items(ranked) -> list[int]:
@@ -186,11 +187,11 @@ class MetricReport:
         return lines
 
 
-def standard_metric_names(ks=METRIC_KS) -> list[str]:
+def standard_metric_names(ks=_KS) -> list[str]:
     return [f"HR@{k}" for k in ks] + [f"MRR@{k}" for k in ks]
 
 
-def rank_metrics(ranks, ks=METRIC_KS) -> dict[str, np.ndarray]:
+def rank_metrics(ranks, ks=_KS) -> dict[str, np.ndarray]:
     """Per-query HR@k / MRR@k vectors from 1-based target ranks (0: absent)."""
     ranks = np.asarray(ranks, dtype=np.float64)
     out = {}
@@ -203,7 +204,7 @@ def rank_metrics(ranks, ks=METRIC_KS) -> dict[str, np.ndarray]:
     return {name: out[name] for name in standard_metric_names(ks)}
 
 
-def query_metrics(ranked_lists, targets, ks=METRIC_KS) -> dict[str, np.ndarray]:
+def query_metrics(ranked_lists, targets, ks=_KS) -> dict[str, np.ndarray]:
     """Per-query HR@k / MRR@k vectors for a batch of ranked lists."""
     ranks = []
     for ranked, target in zip(ranked_lists, targets):
@@ -212,8 +213,8 @@ def query_metrics(ranked_lists, targets, ks=METRIC_KS) -> dict[str, np.ndarray]:
     return rank_metrics(ranks, ks)
 
 
-def run_experiment(pipeline, repeats: int = DEFAULT_REPEATS,
-                   master_seed: int = 0) -> MetricReport:
+def run_experiment(pipeline, repeats: int = _EVAL["repeats"],
+                   master_seed: int = _EVAL["master_seed"]) -> MetricReport:
     """Run `pipeline(seed)` for seeds master+0 .. master+repeats-1.
 
     The pipeline callable executes preprocess -> graph -> embed ->

@@ -38,43 +38,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
+from .config import CHOICES, DEFAULTS
 from .errors import ConfigError, DataError
-from .sessiondata import ItemCatalog, SessionCorpus
+from .sessiondata import SessionCorpus
 
-DEFAULT_K = 100
-DEFAULT_M_SAMPLE = 1000
-DEFAULT_K_REC = 20
+_KNN = DEFAULTS["knn"]
+_GCNEXT = _KNN["gcnext"]
 
 
 @dataclass(frozen=True)
 class GcnextConfig:
-    enabled: bool = False
-    distance_threshold: float = 0.5
-    session_scoring: str = "rscore"        # rscore | position
-    expand_pool: bool = False
+    enabled: bool = _GCNEXT["enabled"]
+    distance_threshold: float = _GCNEXT["distance_threshold"]
+    session_scoring: str = _GCNEXT["session_scoring"]
+    expand_pool: bool = _GCNEXT["expand_pool"]
 
     def __post_init__(self):
         if not 0.0 <= self.distance_threshold <= 2.0:
             raise ConfigError(f"distance_threshold must be in [0, 2], got {self.distance_threshold}")
-        if self.session_scoring not in ("rscore", "position"):
+        if self.session_scoring not in CHOICES["knn.gcnext.session_scoring"]:
             raise ConfigError(f"unknown session_scoring {self.session_scoring!r}")
 
 
 @dataclass(frozen=True)
 class KnnConfig:
-    k: int = DEFAULT_K
-    m_sample: int = DEFAULT_M_SAMPLE
-    base_mode: str = "sknn"                # sknn | v-sknn
+    k: int = _KNN["k"]
+    m_sample: int = _KNN["m_sample"]
+    base_mode: str = _KNN["base_mode"]
     gcnext: GcnextConfig = field(default_factory=GcnextConfig)
-    k_rec: int = DEFAULT_K_REC
-    exclude_input_items: bool = False
+    k_rec: int = _KNN["k_rec"]
+    exclude_input_items: bool = _KNN["exclude_input_items"]
 
     def __post_init__(self):
-        if self.base_mode not in ("sknn", "v-sknn"):
+        if self.base_mode not in CHOICES["knn.base_mode"]:
             raise ConfigError(f"unknown base_mode {self.base_mode!r}")
         if self.k > self.m_sample:
             raise ConfigError(f"k ({self.k}) must not exceed m_sample ({self.m_sample})")
@@ -341,29 +340,3 @@ def recommend(input_items, index: SessionIndex, config: KnnConfig,
     top = np.lexsort((items, -values))[:config.k_rec]
     return RankedList(tuple(zip(items[top].tolist(), values[top].tolist())))
 
-
-def batch_recommend(queries: list[list[str]], index: SessionIndex, config: KnnConfig,
-                    catalog: ItemCatalog, embeddings: np.ndarray | None = None) -> list[str]:
-    """Rank each query (external item ids); unknown ids are skipped.
-
-    Output rows: query id (1-based), rank, item external id, score (6 dp),
-    tab-separated.
-    """
-    rows = []
-    for qid, query in enumerate(queries, start=1):
-        items = [catalog.index_of[e] for e in query if e in catalog.index_of]
-        ranked = recommend(items, index, config, embeddings) if items else RankedList(())
-        for rank, (item, score) in enumerate(ranked.entries, start=1):
-            rows.append(f"{qid}\t{rank}\t{catalog.external_ids[item]}\t{score:.6f}")
-    return rows
-
-
-def recommend_file(query_path, out_path, index: SessionIndex, config: KnnConfig,
-                   catalog: ItemCatalog, embeddings: np.ndarray | None = None) -> int:
-    """Batch interface: one session per line (space-separated item ids) in,
-    ranked rows out. Returns the number of queries processed."""
-    queries = [line.split() for line in
-               Path(query_path).read_text(encoding="utf-8").splitlines() if line.strip()]
-    rows = batch_recommend(queries, index, config, catalog, embeddings)
-    Path(out_path).write_text("".join(r + "\n" for r in rows), encoding="utf-8")
-    return len(queries)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
+from .config import DEFAULTS
 from .errors import NumericError, ShapeError
 from .evalkit import rank_metrics
 from .sessiondata import PrefixSample
@@ -118,9 +119,9 @@ def evaluate_ranks(model: NextItemModel, prefixes: list[PrefixSample], k: int = 
 
 @dataclass
 class NextTrainConfig:
-    epochs: int = 20
-    lr: float = 0.01
-    batch_size: int = 128
+    epochs: int = DEFAULTS["nextitem"]["epochs"]
+    lr: float = DEFAULTS["nextitem"]["lr"]
+    batch_size: int = DEFAULTS["nextitem"]["batch_size"]
     seed: int = 0
     eval_k: int = 10
 

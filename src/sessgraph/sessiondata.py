@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import (
     DataError,
     EmptyCorpusError,
@@ -24,11 +25,7 @@ from .errors import (
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
 
-MIN_ITEM_SUPPORT = 5
-MIN_SESSION_LEN = 2
-MAX_PREFIX_LEN = 50
-SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
-SESSION_GAP_SECONDS = 1800
+_PREPROCESS = DEFAULTS["preprocess"]
 # a query needs a prefix item and a target, so validation and test sessions
 # shorter than this give none; independent of preprocess.min_session_len
 MIN_QUERY_SESSION_LEN = 2
@@ -140,15 +137,19 @@ def load_interactions(source, schema: FeatureSchema,
     an item_id containing whitespace, or an unparseable or negative
     timestamp raise RowError carrying the 1-based data row index.
     """
-    if isinstance(source, (bytes, bytearray)):
-        text = bytes(source).decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    else:
-        raise SchemaError(f"unsupported source type {type(source)!r}")
+    try:
+        if isinstance(source, (bytes, bytearray)):
+            text = bytes(source).decode("utf-8")
+        elif isinstance(source, str):
+            text = source
+        elif isinstance(source, io.IOBase) or hasattr(source, "read"):
+            raw = source.read()
+            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        else:
+            raise SchemaError(f"unsupported source type {type(source)!r}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"interaction log is not UTF-8 ({exc.reason} at byte "
+                        f"{exc.start})") from None
 
     lines = text.splitlines()
     if not lines:
@@ -193,7 +194,8 @@ def write_interactions(interactions, schema: FeatureSchema,
     return "\n".join(lines) + "\n"
 
 
-def sessionize(interactions, gap_seconds: int | None = SESSION_GAP_SECONDS) -> list[RawSession]:
+def sessionize(interactions, gap_seconds: int | None = DEFAULTS["dataset"]["session_gap_seconds"]
+               ) -> list[RawSession]:
     """Group by session_id, order by timestamp, and split runs at gaps.
 
     Consecutive interactions stay together while their gap is <= gap_seconds;
@@ -244,8 +246,9 @@ def collect_feature_rows(interactions) -> dict[str, tuple]:
     return {item: vals for item, (_, vals) in best.items()}
 
 
-def filter_corpus(raw_sessions, min_item_support: int = MIN_ITEM_SUPPORT,
-                  min_session_len: int = MIN_SESSION_LEN) -> tuple[SessionCorpus, ItemCatalog]:
+def filter_corpus(raw_sessions, min_item_support: int = _PREPROCESS["min_item_support"],
+                  min_session_len: int = _PREPROCESS["min_session_len"]
+                  ) -> tuple[SessionCorpus, ItemCatalog]:
     """Iterate item-support and session-length filters to a fixpoint.
 
     Items need >= min_item_support retained occurrences; sessions need
@@ -287,8 +290,9 @@ def filter_corpus(raw_sessions, min_item_support: int = MIN_ITEM_SUPPORT,
 
 
 def temporal_split(corpus: SessionCorpus,
-                   fractions: tuple[float, float, float] = SPLIT_FRACTIONS) -> CorpusSplit:
-    """Sort sessions by (start timestamp, session id) and cut 80/10/10.
+                   fractions: tuple[float, float, float] = tuple(_PREPROCESS["fractions"])
+                   ) -> CorpusSplit:
+    """Sort sessions by (start timestamp, session id) and cut by `fractions`.
 
     Validation/test items that never occur in a train session are dropped in
     place; validation/test sessions left with fewer than two items are
@@ -342,7 +346,8 @@ def restrict_split_to_train(split: CorpusSplit, catalog: ItemCatalog) -> tuple[C
     return new_split, new_catalog
 
 
-def generate_prefixes(session: Session, max_len: int = MAX_PREFIX_LEN) -> list[PrefixSample]:
+def generate_prefixes(session: Session, max_len: int = _PREPROCESS["max_prefix_len"]
+                      ) -> list[PrefixSample]:
     """Expand a session into (prefix, next item) pairs, keeping the most
     recent max_len items of each prefix."""
     items = session.items
@@ -353,7 +358,8 @@ def generate_prefixes(session: Session, max_len: int = MAX_PREFIX_LEN) -> list[P
     return out
 
 
-def corpus_prefixes(corpus: SessionCorpus, max_len: int = MAX_PREFIX_LEN) -> list[PrefixSample]:
+def corpus_prefixes(corpus: SessionCorpus, max_len: int = _PREPROCESS["max_prefix_len"]
+                    ) -> list[PrefixSample]:
     samples = []
     for s in corpus.sessions:
         samples.extend(generate_prefixes(s, max_len))

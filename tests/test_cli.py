@@ -51,10 +51,12 @@ def test_config_defaults_and_unknown_keys():
     assert cfg["embed"]["dim"] == 128
     assert cfg["eval"]["repeats"] == 5
     with pytest.raises(ConfigError) as exc:
-        resolve_config({"preprocess": {"min_item_support": 0, "bogus": 1}, "junk": {}})
+        resolve_config({"preprocess": {"min_item_support": 0, "bogus": 1}, "junk": {},
+                        "graph": {"normalization": "global-max"}})
     msg = str(exc.value)
     # every violation is listed
     assert "bogus" in msg and "junk" in msg and "min_item_support" in msg
+    assert "unknown key 'graph'" in msg
 
 
 def test_config_hash_is_stable():
@@ -302,6 +304,8 @@ def test_catalog_id_line_without_external_id_is_data_error(tmp_path):
     ("1.0 2.0\n1.0 abc\n", r"catalog\.features:2: non-numeric feature"),
     ("1.0 2.0\n1.0\n", r"catalog\.features:2: 1 features, line 1 has 2"),
     ("1.0 2.0\n", r"catalog\.features: 1 feature rows for 2 ids"),
+    ("1.0 2.0\n1.0 nan\n", r"catalog\.features:2: non-finite feature"),
+    ("-inf 2.0\n1.0 2.0\n", r"catalog\.features:1: non-finite feature"),
 ])
 def test_bad_catalog_features_are_data_errors(tmp_path, features, message):
     _write(tmp_path / "catalog.ids", "0 a\n1 b\n")
@@ -325,6 +329,54 @@ def test_corpus_line_without_items_is_data_error(tmp_path):
     path = _write(tmp_path / "train.sessions", "s0 1 2 10\ns1 100\n")
     with pytest.raises(DataError, match=r"train\.sessions:2: corpus line needs id, items"):
         cli.load_corpus(path)
+
+
+@pytest.mark.parametrize("corpus, bad, command", [
+    ("test", "-1", "train-next"),
+    ("test", "m+5", "train-next"),
+    ("test", "m+5", "eval-knn"),
+    ("validation", "-1", "eval-knn"),
+    ("train", "-1", "train-next"),
+    ("train", "m+5", "train-next"),
+])
+def test_corpus_item_outside_catalog_exit_code(workdir, tmp_path, capsys, corpus, bad, command):
+    """-1 would index the last item and m+5 no row: both must stop the stage."""
+    root, cfg_path, out = workdir
+    art = tmp_path / "art"
+    shutil.copytree(out, art)
+    m = len(cli._catalog_ids(art))
+    item = -1 if bad == "-1" else m + 5
+    path = art / f"{corpus}.sessions"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    sid, first, *rest = lines[0].split()
+    lines[0] = " ".join([sid, str(item), *rest])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = cli.main([command, "--config", str(cfg_path), "--out", str(art)])
+    assert rc == 3
+    assert f"{corpus}.sessions:1: item {item} outside the catalog of {m} items" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, command, code", [
+    ("artifacts/test.sessions", "eval-knn", 3),
+    ("artifacts/catalog.ids", "build-graph", 3),
+    ("artifacts/catalog.features", "build-graph", 3),
+    ("log.csv", "preprocess", 3),
+    ("config.json", "eval-knn", 2),
+])
+def test_non_utf8_input_exit_code(workdir, tmp_path, capsys, target, command, code):
+    root, cfg_path, out = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root, work)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["dataset"]["path"] = str(work / "log.csv")
+    (work / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    with open(work / target, "ab") as fh:
+        fh.write(b"\xff\n")
+    rc = cli.main([command, "--config", str(work / "config.json"),
+                   "--out", str(work / "artifacts")])
+    assert rc == code
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def _forbid_graph_allocation(monkeypatch):

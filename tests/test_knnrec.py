@@ -304,27 +304,3 @@ def test_determinism_across_runs():
     r2 = kr.recommend(q, index, kr.KnnConfig())
     assert r1.entries == r2.entries
 
-
-def test_batch_recommend_format():
-    corpus = _corpus([[0, 1, 2]])
-    catalog = sd.ItemCatalog(["a", "b", "c"], {"a": 0, "b": 1, "c": 2})
-    index = kr.index_sessions(corpus)
-    rows = kr.batch_recommend([["a"], ["zzz"]], index, _config(), catalog)
-    # similarity of {a} to {a,b,c} is 1/sqrt(3)
-    assert rows[0] == f"1\t1\ta\t{1 / math.sqrt(3):.6f}"
-    assert all(r.startswith("1\t") for r in rows)  # query 2 has no known items
-
-
-def test_recommend_file_roundtrip(tmp_path):
-    corpus = _corpus([[0, 1, 2], [1, 2]])
-    catalog = sd.ItemCatalog(["a", "b", "c"], {"a": 0, "b": 1, "c": 2})
-    index = kr.index_sessions(corpus)
-    qpath = tmp_path / "queries.txt"
-    qpath.write_text("a b\n\nc\n", encoding="utf-8")
-    opath = tmp_path / "ranked.tsv"
-    n = kr.recommend_file(qpath, opath, index, _config(), catalog)
-    assert n == 2
-    lines = opath.read_text().splitlines()
-    assert all(len(l.split("\t")) == 4 for l in lines)
-    assert lines[0].split("\t")[0] == "1"
-    assert any(l.startswith("2\t") for l in lines)
