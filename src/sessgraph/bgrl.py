@@ -87,12 +87,12 @@ class BgrlState:
     optimizer: dc.OptimizerState | None = None
 
     @classmethod
-    def create(cls, d_feat: int, d_hidden: int, d_out: int, heads: int = _EMBED["heads"],
+    def create(cls, d_feat: int, d_hidden: int, d_out: int,
                ema_decay: float = _EMBED["ema_decay"], lr: float = _EMBED["lr"],
                weight_decay: float = _EMBED["weight_decay"],
                rng: np.random.Generator | None = None) -> "BgrlState":
         rng = rng or np.random.default_rng(0)
-        online = SkipEncoder(d_feat, d_hidden, d_out, heads=heads, rng=rng)
+        online = SkipEncoder(d_feat, d_hidden, d_out, rng=rng)
         target = online.clone()
         predictor = Predictor(d_out, rng)
         state = cls(online, target, predictor, ema_decay)
@@ -159,7 +159,6 @@ class TrainConfig:
     ema_decay: float = _EMBED["ema_decay"]
     d_hidden: int = _EMBED["hidden_dim"]
     d_out: int = _EMBED["dim"]
-    heads: int = _EMBED["heads"]
     augmentation: AugmentationConfig = field(default_factory=AugmentationConfig)
     seed: int = 0
 
@@ -168,7 +167,6 @@ class TrainConfig:
 class TrainResult:
     embeddings: np.ndarray
     encoder: SkipEncoder
-    state: BgrlState
     epoch_losses: list[float]
 
 
@@ -178,7 +176,7 @@ def train_embeddings(graph: CoGraph, config: TrainConfig) -> TrainResult:
         raise ValueError("graph has no node feature matrix")
     rng = np.random.default_rng(config.seed)
     state = BgrlState.create(graph.X.shape[1], config.d_hidden, config.d_out,
-                             heads=config.heads, ema_decay=config.ema_decay,
+                             ema_decay=config.ema_decay,
                              lr=config.lr, weight_decay=config.weight_decay, rng=rng)
     params = [t for _, t in state.trained_parameters()]
     epoch_losses: list[float] = []
@@ -218,7 +216,7 @@ def train_embeddings(graph: CoGraph, config: TrainConfig) -> TrainResult:
     norms = np.linalg.norm(embeddings, axis=1)
     if norms.max(initial=0.0) > 1e6:
         raise NumericError(f"embedding norm explosion: max row norm {norms.max()}")
-    return TrainResult(embeddings, state.online, state, epoch_losses)
+    return TrainResult(embeddings, state.online, epoch_losses)
 
 
 # ---------------------------------------------------------------------------

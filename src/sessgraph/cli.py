@@ -182,10 +182,10 @@ def load_catalog(out: Path) -> tuple[ItemCatalog, np.ndarray]:
     return ItemCatalog(ids, {e: i for i, e in enumerate(ids)}), X
 
 
-def load_split(out: Path) -> CorpusSplit:
+def load_split(out: Path, ids: list[str] | None = None) -> CorpusSplit:
     """The three corpora, each item id checked against the m ids of
-    catalog.ids: numpy would read -1 as item m - 1."""
-    m = len(_catalog_ids(out))
+    catalog.ids (read here unless given): numpy would read -1 as item m - 1."""
+    m = len(_catalog_ids(out) if ids is None else ids)
     corpora = {}
     for name, filename in SESSIONS_FILES.items():
         corpus = corpora[name] = load_corpus(out / filename)
@@ -262,7 +262,7 @@ def _train_config_from(cfg: dict, seed: int) -> bgrl.TrainConfig:
         epochs=em["epochs"], batch_size=em["batch_size"],
         fanouts=tuple(em["fanouts"]) if em["fanouts"] else None,
         lr=em["lr"], weight_decay=em["weight_decay"], ema_decay=em["ema_decay"],
-        d_hidden=em["hidden_dim"], d_out=em["dim"], heads=em["heads"],
+        d_hidden=em["hidden_dim"], d_out=em["dim"],
         augmentation=bgrl.AugmentationConfig(
             bgrl.ViewConfig(em["view1"]["feature_mask_prob"], em["view1"]["edge_drop_prob"]),
             bgrl.ViewConfig(em["view2"]["feature_mask_prob"], em["view2"]["edge_drop_prob"]),
@@ -300,15 +300,16 @@ def _knn_config_from(cfg: dict) -> knnrec.KnnConfig:
     )
 
 
-def _load_embeddings(cfg: dict, out: Path, task: str) -> np.ndarray | None:
+def _load_embeddings(cfg: dict, out: Path, task: str, ids: list[str]) -> np.ndarray | None:
     """The embeddings.bin rows when `task` uses them (GCNext kNN, pretrained
-    next-item init), after checking their ids against catalog.ids."""
+    next-item init), after checking their ids against `ids`, those of
+    catalog.ids."""
     if not (cfg["knn"]["gcnext"]["enabled"] if task == "knn"
             else cfg["nextitem"]["init_mode"] == "pretrained"):
         return None
     path = _require(out / EMBED_BINARY)
-    emb, ids = bgrl.load_embeddings_binary(path)
-    if ids != _catalog_ids(out):
+    emb, emb_ids = bgrl.load_embeddings_binary(path)
+    if emb_ids != ids:
         raise DataError(f"{path}: item ids differ from {CATALOG_IDS}; "
                         "re-run train-embed after preprocess")
     return emb
@@ -319,8 +320,9 @@ def _experiment(cfg: dict, out: Path, task: str, corpus_name: str = "test"
     """The metric report of `task` ("knn" or "nextitem") on the prefixes of
     one corpus over `eval.repeats` runs, plus the next-item epoch log lines.
     Every evaluating command (eval-knn, train-next, compare, grid) runs this."""
-    split = load_split(out)
-    embeddings = _load_embeddings(cfg, out, task)
+    ids = _catalog_ids(out)
+    split = load_split(out, ids)
+    embeddings = _load_embeddings(cfg, out, task, ids)
     cap = cfg["preprocess"]["max_prefix_len"]
     prefixes = corpus_prefixes(getattr(split, corpus_name), cap)
     if not prefixes:
@@ -348,14 +350,13 @@ def _experiment(cfg: dict, out: Path, task: str, corpus_name: str = "test"
             raise DataError("no train prefixes to train on")
         val_prefixes = corpus_prefixes(split.validation, cap)
         ni = cfg["nextitem"]
-        m = len(_catalog_ids(out))
 
         def pipeline(seed):
             if embeddings is not None:
-                table = nextitem.init_table(nextitem.PRETRAINED, m, embeddings.shape[1],
+                table = nextitem.init_table(nextitem.PRETRAINED, len(ids), embeddings.shape[1],
                                             source=embeddings)
             else:
-                table = nextitem.init_table(nextitem.SCALED_UNIFORM, m, cfg["embed"]["dim"],
+                table = nextitem.init_table(nextitem.SCALED_UNIFORM, len(ids), cfg["embed"]["dim"],
                                             rng=np.random.default_rng(seed))
             model = nextitem.NextItemModel(table)
             result = nextitem.train_next(
@@ -380,7 +381,7 @@ def run_eval_knn(cfg: dict, out: Path) -> evalkit.MetricReport:
 def run_train_next(cfg: dict, out: Path) -> evalkit.MetricReport:
     report, logs = _experiment(cfg, out, "nextitem")
     (out / "training_log.tsv").write_text(
-        "seed\tepoch\ttrain_loss\tval_hr10\tval_mrr10\twall_s\n"
+        f"seed\tepoch\ttrain_loss\tval_hr{nextitem.VAL_K}\tval_mrr{nextitem.VAL_K}\twall_s\n"
         + "".join(line + "\n" for line in logs), encoding="utf-8")
     _write_report(out, "train-next", cfg, report)
     return report

@@ -37,7 +37,6 @@ DEFAULTS: dict = {
     "embed": {
         "dim": 128,
         "hidden_dim": 128,
-        "heads": 1,
         "fanouts": [10, 5],        # null disables sampling (full-graph encode)
         "lr": 1e-3,
         "weight_decay": 1e-5,
@@ -153,12 +152,6 @@ def resolve_config(raw: dict) -> dict:
 
     _check_number(cfg, "embed.dim", lo=1, integer=True, errors=errors)
     _check_number(cfg, "embed.hidden_dim", lo=1, integer=True, errors=errors)
-    _check_number(cfg, "embed.heads", lo=1, integer=True, errors=errors)
-    em = cfg["embed"]
-    for dim in ("dim", "hidden_dim"):   # each head gets an equal slice of the layer
-        if (all(isinstance(em[k], int) and em[k] >= 1 for k in ("heads", dim))
-                and em[dim] % em["heads"]):
-            errors.append(f"embed.heads: {em['heads']} does not divide embed.{dim} {em[dim]}")
     _check_number(cfg, "embed.lr", lo=0.0, errors=errors)
     _check_number(cfg, "embed.weight_decay", lo=0.0, errors=errors)
     _check_number(cfg, "embed.ema_decay", lo=0.0, hi=1.0, errors=errors)

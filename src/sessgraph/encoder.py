@@ -1,11 +1,14 @@
 """Attention-based graph convolution and the two-layer skip encoder.
 
-Per directed edge (i <- j) the attention logit is
-a^T LeakyReLU(W_att [h_i || h_j || e_ij]); coefficients are softmax-normalized
-over each node's neighborhood and weight the transformed neighbor values
-W_val h_j. A node with no neighbors gets a zero pre-activation. Each encoder
-layer receives its input plus a learned projection of the raw node features
-(skip connection) and applies a learnable PReLU.
+Each layer is a single-head GATv2 convolution whose attention width equals
+its output width d_out. Per directed edge (i <- j) the attention logit is
+a^T LeakyReLU(W_att [h_i || h_j || e_ij]) with W_att of shape
+(d_out, 2 d_in + 1) and slope LEAKY_SLOPE; coefficients are
+softmax-normalized over each node's neighborhood and weight the transformed
+neighbor values W_val h_j. A node with no neighbors gets a zero
+pre-activation. Each encoder layer receives its input plus a learned
+projection of the raw node features (skip connection) and applies a
+learnable PReLU.
 
 Aggregation always runs in ascending neighbor-index order so full-graph and
 exhaustive-fanout sampled encodings agree to floating-point reproducibility.
@@ -30,69 +33,39 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 class Gatv2Layer:
-    """One multi-head attention convolution; head outputs are concatenated."""
+    """One single-head attention convolution d_in -> d_out."""
 
-    def __init__(self, d_in: int, d_out: int, heads: int = 1, d_att: int | None = None,
-                 leaky_slope: float = LEAKY_SLOPE, rng: np.random.Generator | None = None):
-        if d_out % heads != 0:
-            raise ShapeError("gatv2_layer", (d_out,), (heads,))
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
-        self.d_in = d_in
         self.d_out = d_out
-        self.heads = heads
-        self.d_head = d_out // heads
-        self.d_att = d_att or self.d_head
-        self.leaky_slope = leaky_slope
-        self.W_att = [dc.Tensor(_glorot(rng, self.d_att, 2 * d_in + 1), requires_grad=True)
-                      for _ in range(heads)]
-        self.a = [dc.Tensor(_glorot(rng, self.d_att, 1), requires_grad=True)
-                  for _ in range(heads)]
-        self.W_val = [dc.Tensor(_glorot(rng, self.d_head, d_in), requires_grad=True)
-                      for _ in range(heads)]
+        self.W_att = dc.Tensor(_glorot(rng, d_out, 2 * d_in + 1), requires_grad=True)
+        self.a = dc.Tensor(_glorot(rng, d_out, 1), requires_grad=True)
+        self.W_val = dc.Tensor(_glorot(rng, d_out, d_in), requires_grad=True)
         self.prelu = dc.Tensor(np.array([PRELU_INIT]), requires_grad=True)
 
     def parameters(self) -> list[tuple[str, dc.Tensor]]:
-        out = []
-        for h in range(self.heads):
-            suffix = "" if self.heads == 1 else f".{h}"
-            out.append((f"W_val{suffix}", self.W_val[h]))
-            out.append((f"W_att{suffix}", self.W_att[h]))
-            out.append((f"a{suffix}", self.a[h]))
-        out.append(("prelu", self.prelu))
-        return out
+        return [("W_val", self.W_val), ("W_att", self.W_att), ("a", self.a),
+                ("prelu", self.prelu)]
 
-    def head_logits(self, head: int, h_dst: dc.Tensor, h_src: dc.Tensor,
-                    edges) -> dc.Tensor:
-        """Unnormalized attention logits for one head over the given edges."""
+    def coefficients(self, h_dst: dc.Tensor, h_src: dc.Tensor, edges) -> dc.Tensor:
+        """Softmax-normalized attention coefficients; edges sorted by (dst, src)."""
         dst_idx, src_idx, w = edges
-        n_edges = len(dst_idx)
         cat = dc.row_concat([
             dc.gather_rows(h_dst, dst_idx),
             dc.gather_rows(h_src, src_idx),
             dc.Tensor(np.asarray(w, dtype=np.float64).reshape(-1, 1)),
         ])
-        z = dc.leaky_relu(dc.matmul(cat, dc.transpose(self.W_att[head])), self.leaky_slope)
-        return dc.reshape(dc.matmul(z, self.a[head]), (n_edges,))
-
-    def coefficients(self, h_dst: dc.Tensor, h_src: dc.Tensor, edges) -> list[dc.Tensor]:
-        """Per-head softmax-normalized coefficients; edges sorted by (dst, src)."""
-        dst_idx = edges[0]
-        return [dc.segment_softmax(self.head_logits(h, h_dst, h_src, edges), dst_idx)
-                for h in range(self.heads)]
+        z = dc.leaky_relu(dc.matmul(cat, dc.transpose(self.W_att)), LEAKY_SLOPE)
+        logits = dc.reshape(dc.matmul(z, self.a), (len(dst_idx),))
+        return dc.segment_softmax(logits, dst_idx)
 
     def forward(self, h_dst: dc.Tensor, h_src: dc.Tensor, edges, n_dst: int) -> dc.Tensor:
         """Aggregate src values into dst rows; empty neighborhoods give
         PReLU(0) rows. dst indices in edges must be local to [0, n_dst)."""
-        alphas = self.coefficients(h_dst, h_src, edges)
+        alpha = self.coefficients(h_dst, h_src, edges)
         dst_idx, src_idx, _ = edges
-        head_outputs = []
-        for h in range(self.heads):
-            values = dc.matmul(h_src, dc.transpose(self.W_val[h]))
-            per_edge = dc.gather_rows(values, src_idx)
-            head_outputs.append(
-                dc.segment_weighted_sum(per_edge, alphas[h], dst_idx, n_dst)
-            )
-        agg = head_outputs[0] if self.heads == 1 else dc.row_concat(head_outputs)
+        values = dc.matmul(h_src, dc.transpose(self.W_val))
+        agg = dc.segment_weighted_sum(dc.gather_rows(values, src_idx), alpha, dst_idx, n_dst)
         return dc.prelu(agg, self.prelu)
 
 
@@ -100,21 +73,17 @@ class SkipEncoder:
     """Two attention layers; each layer's input gains X @ W_skip^T."""
 
     def __init__(self, d_feat: int, d_hidden: int = DEFAULTS["embed"]["hidden_dim"],
-                 d_out: int = DEFAULTS["embed"]["dim"], heads: int = DEFAULTS["embed"]["heads"],
-                 d_att: int | None = None,
-                 leaky_slope: float = LEAKY_SLOPE,
-                 rng: np.random.Generator | None = None):
+                 d_out: int = DEFAULTS["embed"]["dim"], rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
         self.d_feat = d_feat
         self.layers = [
-            Gatv2Layer(d_feat, d_hidden, heads, d_att, leaky_slope, rng),
-            Gatv2Layer(d_hidden, d_out, heads, d_att, leaky_slope, rng),
+            Gatv2Layer(d_feat, d_hidden, rng),
+            Gatv2Layer(d_hidden, d_out, rng),
         ]
         self.W_skip = [
             dc.Tensor(_glorot(rng, d_feat, d_feat), requires_grad=True),
             dc.Tensor(_glorot(rng, d_hidden, d_feat), requires_grad=True),
         ]
-        self.d_out = d_out
 
     def parameters(self) -> list[tuple[str, dc.Tensor]]:
         out = []
@@ -135,9 +104,7 @@ class SkipEncoder:
             t.data = state[name].astype(np.float64).copy()
 
     def clone(self) -> "SkipEncoder":
-        twin = SkipEncoder(self.d_feat, self.layers[0].d_out, self.layers[1].d_out,
-                           self.layers[0].heads, self.layers[0].d_att,
-                           self.layers[0].leaky_slope)
+        twin = SkipEncoder(self.d_feat, self.layers[0].d_out, self.layers[1].d_out)
         twin.load_state_dict(self.state_dict())
         return twin
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import DataError
+from .errors import DataError, NumericError
 from .knnrec import RankedList
 
 SIGNIFICANCE_LEVEL = 0.05
@@ -86,7 +86,7 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
-    raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
+    raise NumericError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:

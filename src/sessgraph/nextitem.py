@@ -23,6 +23,7 @@ from .sessiondata import PrefixSample
 
 SCALED_UNIFORM = "scaled-uniform"
 PRETRAINED = "pretrained"
+VAL_K = 10      # the cutoff of the per-epoch validation HR/MRR
 
 
 def init_table(mode: str, m: int, d: int, rng: np.random.Generator | None = None,
@@ -109,12 +110,12 @@ class NextItemModel:
         return 1 + int(np.count_nonzero(s > ts) + np.count_nonzero(s[:target] == ts))
 
 
-def evaluate_ranks(model: NextItemModel, prefixes: list[PrefixSample], k: int = 10):
-    """(HR@k, MRR@k) over a prefix set; (0.0, 0.0) for an empty one."""
+def evaluate_ranks(model: NextItemModel, prefixes: list[PrefixSample]):
+    """(HR@VAL_K, MRR@VAL_K) over a prefix set; (0.0, 0.0) for an empty one."""
     if not prefixes:
         return 0.0, 0.0
-    metrics = rank_metrics([model.target_rank(p.prefix, p.target) for p in prefixes], (k,))
-    return float(metrics[f"HR@{k}"].mean()), float(metrics[f"MRR@{k}"].mean())
+    metrics = rank_metrics([model.target_rank(p.prefix, p.target) for p in prefixes], (VAL_K,))
+    return float(metrics[f"HR@{VAL_K}"].mean()), float(metrics[f"MRR@{VAL_K}"].mean())
 
 
 @dataclass
@@ -123,7 +124,6 @@ class NextTrainConfig:
     lr: float = DEFAULTS["nextitem"]["lr"]
     batch_size: int = DEFAULTS["nextitem"]["batch_size"]
     seed: int = 0
-    eval_k: int = 10
 
 
 @dataclass
@@ -175,7 +175,7 @@ def train_next(model: NextItemModel, train_prefixes: list[PrefixSample],
             del tape    # free the batch's activations before the next batch builds its own
             dc.adam_step(opt, [model.table])
             losses.append(float(loss.data))
-        hr, mrr = evaluate_ranks(model, val_prefixes, config.eval_k)
+        hr, mrr = evaluate_ranks(model, val_prefixes)
         records.append(EpochRecord(epoch, float(np.mean(losses)) if losses else 0.0,
                                    hr, mrr, time.perf_counter() - t0))
     return NextTrainResult(model, records)

@@ -122,7 +122,7 @@ def test_orthogonal_prediction_gives_loss_two():
     # every embedding's final coordinate is exactly 0, then point the
     # predictor at that dead axis: cosine is 0 in both directions
     for enc in (state.online, state.target):
-        enc.layers[1].W_val[0].data[-1, :] = 0.0
+        enc.layers[1].W_val.data[-1, :] = 0.0
     state.predictor.W1.data[:] = 0
     state.predictor.W2.data[:] = 0
     state.predictor.b1.data[:] = 0

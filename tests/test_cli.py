@@ -149,7 +149,7 @@ def test_train_next_writes_log_and_report(workdir):
     root, cfg_path, out = workdir
     assert cli.main(["train-next", "--config", str(cfg_path), "--out", str(out)]) == 0
     log = (out / "training_log.tsv").read_text().splitlines()
-    assert log[0].startswith("seed\tepoch")
+    assert log[0] == "seed\tepoch\ttrain_loss\tval_hr10\tval_mrr10\twall_s"
     assert len(log) > 1
     report = (out / "report_train-next.tsv").read_text()
     assert "MRR@20" in report
@@ -209,15 +209,29 @@ def test_bad_config_exit_code(tmp_path):
     assert rc == 2
 
 
-def test_heads_must_divide_embedding_dims(tmp_path):
-    with pytest.raises(ConfigError, match="embed.heads"):
-        resolve_config({"embed": {"heads": 3}})
-    with pytest.raises(ConfigError, match="embed.hidden_dim"):
-        resolve_config({"embed": {"heads": 4, "dim": 8, "hidden_dim": 6}})
-    assert resolve_config({"embed": {"heads": 4, "dim": 8, "hidden_dim": 12}})
+def test_embed_heads_is_unknown_key(tmp_path, capsys):
+    """The encoder has one attention head; a config that still sets
+    embed.heads is rejected like any other unknown key."""
+    with pytest.raises(ConfigError, match="embed: unknown key 'heads'"):
+        resolve_config({"embed": {"heads": 1}})
     cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps({"embed": {"heads": 3}}), encoding="utf-8")
+    cfg_path.write_text(json.dumps({"embed": {"heads": 1}}), encoding="utf-8")
     assert cli.main(["train-embed", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "unknown key 'heads'" in capsys.readouterr().err
+
+
+def test_t_test_that_does_not_converge_exit_code(workdir, monkeypatch, capsys):
+    """A p-value whose continued fraction does not converge is a numeric
+    failure (exit 4), not a traceback."""
+    root, cfg_path, out = workdir
+    cfg = json.loads(cfg_path.read_text())
+    cfg["knn"]["base_mode"] = "v-sknn"
+    cfg_b = root / "config_b.json"
+    cfg_b.write_text(json.dumps(cfg), encoding="utf-8")
+    monkeypatch.setattr(cli.evalkit, "_CF_MAX_ITER", 0)
+    assert cli.main(["compare", "--config", str(cfg_path), "--config-b", str(cfg_b),
+                     "--out", str(out)]) == 4
+    assert "incomplete beta did not converge" in capsys.readouterr().err
 
 
 def test_config_file_not_json_exit_code(tmp_path):
@@ -280,6 +294,34 @@ def test_eval_knn_recommends_each_test_prefix_once(workdir, tmp_path, monkeypatc
     prefixes = corpus_prefixes(cli.load_split(art).test, cfg["preprocess"]["max_prefix_len"])
     assert served == [p.prefix for p in prefixes]
     assert all(len(runs) == 3 for runs in report.runs.values())
+
+
+@pytest.mark.parametrize("task, overrides", [
+    ("knn", {"knn": {"gcnext": {"enabled": True}}}),
+    ("nextitem", {"nextitem": {"init_mode": "pretrained", "epochs": 1}}),
+])
+def test_experiment_reads_catalog_ids_once(workdir, tmp_path, monkeypatch, task, overrides):
+    """load_split, the embedding id check and the next-item table size all
+    need catalog.ids; one experiment parses it once."""
+    root, cfg_path, out = workdir
+    art = tmp_path / "art"
+    shutil.copytree(out, art)
+    assert cli.main(["train-embed", "--config", str(cfg_path), "--out", str(art)]) == 0
+    raw = json.loads(cfg_path.read_text())
+    for section, values in overrides.items():
+        raw[section].update(values)
+    raw["eval"]["repeats"] = 1
+    cfg = resolve_config(raw)
+    calls = []
+    catalog_ids = cli._catalog_ids
+
+    def counting(out_dir):
+        calls.append(out_dir)
+        return catalog_ids(out_dir)
+
+    monkeypatch.setattr(cli, "_catalog_ids", counting)
+    cli._experiment(cfg, art, task)
+    assert calls == [art]
 
 
 def _write(path: Path, text: str) -> Path:

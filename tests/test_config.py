@@ -54,9 +54,6 @@ def test_library_defaults_equal_config_defaults():
                       _param(encoder.SkipEncoder, "d_out")],
         "embed.hidden_dim": [_field(bgrl.TrainConfig, "d_hidden"),
                              _param(encoder.SkipEncoder, "d_hidden")],
-        "embed.heads": [_field(bgrl.TrainConfig, "heads"),
-                        _param(bgrl.BgrlState.create, "heads"),
-                        _param(encoder.SkipEncoder, "heads")],
         "embed.fanouts": [_field(bgrl.TrainConfig, "fanouts")],
         "embed.lr": [_field(bgrl.TrainConfig, "lr"), _param(bgrl.BgrlState.create, "lr")],
         "embed.weight_decay": [_field(bgrl.TrainConfig, "weight_decay"),

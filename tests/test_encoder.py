@@ -1,12 +1,14 @@
 """Attention layer and skip encoder: dense oracle recomputation,
 finite-difference gradient checks, sampling equivalence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from sessgraph import cograph as cg
 from sessgraph import diffcore as dc
-from sessgraph.encoder import Gatv2Layer, SkipEncoder
+from sessgraph.encoder import LEAKY_SLOPE, Gatv2Layer, SkipEncoder
 
 from test_diffcore import finite_diff_grad, rel_err
 
@@ -27,23 +29,22 @@ def dense_attention_oracle(layer, H, graph):
     """Direct dense recomputation of the attention softmax per node."""
     H = np.asarray(H, float)
     out = {}
-    for head in range(layer.heads):
-        W, a = layer.W_att[head].data, layer.a[head].data[:, 0]
-        for i in range(graph.n):
-            nbrs, ws = graph.neighbors(i)
-            if len(nbrs) == 0:
-                continue
-            logits = []
-            for j, w in zip(nbrs, ws):
-                cat = np.concatenate([H[i], H[j], [w]])
-                z = W @ cat
-                z = np.where(z > 0, z, layer.leaky_slope * z)
-                logits.append(a @ z)
-            logits = np.array(logits)
-            e = np.exp(logits - logits.max())
-            alpha = e / e.sum()
-            for j, al in zip(nbrs, alpha):
-                out[(head, i, int(j))] = al
+    W, a = layer.W_att.data, layer.a.data[:, 0]
+    for i in range(graph.n):
+        nbrs, ws = graph.neighbors(i)
+        if len(nbrs) == 0:
+            continue
+        logits = []
+        for j, w in zip(nbrs, ws):
+            cat = np.concatenate([H[i], H[j], [w]])
+            z = W @ cat
+            z = np.where(z > 0, z, LEAKY_SLOPE * z)
+            logits.append(a @ z)
+        logits = np.array(logits)
+        e = np.exp(logits - logits.max())
+        alpha = e / e.sum()
+        for j, al in zip(nbrs, alpha):
+            out[(i, int(j))] = al
     return out
 
 
@@ -56,8 +57,8 @@ def test_single_neighbor_alpha_is_one():
     graph = cg.CoGraph.from_edges(2, [(0, 1, 0.7)], c_max=1)
     layer = Gatv2Layer(d_in=3, d_out=4, rng=rng)
     h = dc.Tensor(rng.normal(size=(2, 3)))
-    alphas = layer.coefficients(h, h, graph.directed_edges())
-    np.testing.assert_allclose(alphas[0].data, 1.0, atol=1e-15)
+    alpha = layer.coefficients(h, h, graph.directed_edges())
+    np.testing.assert_allclose(alpha.data, 1.0, atol=1e-15)
 
 
 def test_identical_neighbors_split_half():
@@ -68,23 +69,20 @@ def test_identical_neighbors_split_half():
     layer = Gatv2Layer(d_in=3, d_out=4, rng=rng)
     h = dc.Tensor(H)
     dst, src, w = graph.directed_edges()
-    alphas = layer.coefficients(h, h, (dst, src, w))
-    np.testing.assert_allclose(alphas[0].data[dst == 0], 0.5, atol=1e-15)
+    alpha = layer.coefficients(h, h, (dst, src, w))
+    np.testing.assert_allclose(alpha.data[dst == 0], 0.5, atol=1e-15)
 
 
-@pytest.mark.parametrize("heads", [1, 2])
-def test_coefficients_match_dense_oracle(heads):
+def test_coefficients_match_dense_oracle():
     rng = np.random.default_rng(2)
     graph, X = random_graph(rng)
-    layer = Gatv2Layer(d_in=3, d_out=4, heads=heads, rng=rng)
+    layer = Gatv2Layer(d_in=3, d_out=4, rng=rng)
     h = dc.Tensor(X)
     dst, src, w = graph.directed_edges()
-    alphas = layer.coefficients(h, h, (dst, src, w))
+    alpha = layer.coefficients(h, h, (dst, src, w))
     oracle = dense_attention_oracle(layer, X, graph)
-    for head in range(heads):
-        for k in range(len(dst)):
-            assert alphas[head].data[k] == pytest.approx(
-                oracle[(head, int(dst[k]), int(src[k]))], abs=1e-12)
+    for k in range(len(dst)):
+        assert alpha.data[k] == pytest.approx(oracle[(int(dst[k]), int(src[k]))], abs=1e-12)
 
 
 def test_alpha_sums_to_one_per_node():
@@ -93,11 +91,11 @@ def test_alpha_sums_to_one_per_node():
     layer = Gatv2Layer(d_in=3, d_out=4, rng=rng)
     h = dc.Tensor(X)
     dst, src, w = graph.directed_edges()
-    alphas = layer.coefficients(h, h, (dst, src, w))
+    alpha = layer.coefficients(h, h, (dst, src, w))
     for i in range(graph.n):
         mask = dst == i
         if mask.any():
-            assert abs(alphas[0].data[mask].sum() - 1.0) < 1e-12
+            assert abs(alpha.data[mask].sum() - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +119,7 @@ def test_single_neighbor_selects_transformed_value():
     layer = Gatv2Layer(d_in=3, d_out=4, rng=rng)
     h = dc.Tensor(H)
     out = layer.forward(h, h, graph.directed_edges(), graph.n).data
-    expected = layer.W_val[0].data @ H[1]
+    expected = layer.W_val.data @ H[1]
     slope = layer.prelu.data[0]
     expected = np.where(expected >= 0, expected, slope * expected)
     np.testing.assert_allclose(out[0], expected, atol=1e-12)
@@ -227,3 +225,19 @@ def test_checkpoint_roundtrip_through_container(tmp_path):
     np.testing.assert_array_equal(enc.encode_full(X, graph).data,
                                   twin.encode_full(X, graph).data)
 
+
+
+def test_checkpoint_layout_is_pinned(tmp_path):
+    """encoder.ntc keeps its tensor names, order and shapes, and a seeded
+    encoder draws the same values: any change to either changes the hash."""
+    enc = SkipEncoder(3, 4, 4, rng=np.random.default_rng(0))
+    assert [(name, arr.shape) for name, arr in enc.state_dict().items()] == [
+        ("layer1.W_val", (4, 3)), ("layer1.W_att", (4, 7)), ("layer1.a", (4, 1)),
+        ("layer1.prelu", (1,)), ("skip1.W", (3, 3)),
+        ("layer2.W_val", (4, 4)), ("layer2.W_att", (4, 9)), ("layer2.a", (4, 1)),
+        ("layer2.prelu", (1,)), ("skip2.W", (4, 3)),
+    ]
+    path = tmp_path / "encoder.ntc"
+    dc.save_tensors(path, enc.state_dict())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "c9437b5e0761676b993bc935632bed407d525dda224dfa62b37726f4cb31810d"

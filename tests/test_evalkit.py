@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sessgraph import evalkit as ek
-from sessgraph.errors import DataError
+from sessgraph.errors import DataError, NumericError
 from sessgraph.knnrec import RankedList
 
 # (a, b, t, df, two-sided p) — frozen from an independent statistical oracle
@@ -115,6 +115,13 @@ def test_incomplete_beta_edges():
         lhs = ek.regularized_incomplete_beta(a, b, x)
         rhs = 1.0 - ek.regularized_incomplete_beta(b, a, 1.0 - x)
         assert lhs == pytest.approx(rhs, abs=1e-14)
+
+
+def test_incomplete_beta_nonconvergence_is_numeric_error():
+    """The CLI maps NumericError to exit 4; a bare ArithmeticError would
+    escape it as a traceback."""
+    with pytest.raises(NumericError, match="incomplete beta did not converge"):
+        ek.regularized_incomplete_beta(1e7, 1e7, 0.5)
 
 
 @pytest.mark.parametrize("t,df,p", T_CDF_REFERENCE)
