@@ -10,6 +10,7 @@ from sessgraph import cograph as cg
 from sessgraph import diffcore as dc
 from sessgraph.encoder import LEAKY_SLOPE, Gatv2Layer, SkipEncoder
 
+from test_cograph import _corpusgen_graph
 from test_diffcore import finite_diff_grad, rel_err
 
 
@@ -241,3 +242,14 @@ def test_checkpoint_layout_is_pinned(tmp_path):
     dc.save_tensors(path, enc.state_dict())
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "c9437b5e0761676b993bc935632bed407d525dda224dfa62b37726f4cb31810d"
+
+
+def test_export_bytes_are_pinned():
+    """encode_full on a fixed corpusgen graph keeps the bytes it had when the
+    encoder had a forward of its own, before it ran through encode_sampled."""
+    graph = _corpusgen_graph()
+    X = np.random.default_rng(1).normal(size=(graph.n, 3))
+    enc = SkipEncoder(3, 4, 4, rng=np.random.default_rng(0))
+    out = enc.encode_full(X, graph).data
+    assert hashlib.sha256(out.tobytes()).hexdigest() == \
+        "c9fd5cba4052e4d1f580472559b0ea830796e6d9d9242ff3d1cf780b82b57976"
