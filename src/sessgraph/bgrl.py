@@ -106,11 +106,7 @@ class BgrlState:
 
 def _encode_view(encoder: SkipEncoder, view: CoGraph, seeds: np.ndarray,
                  fanouts: tuple[int, int] | None, rng: np.random.Generator) -> dc.Tensor:
-    if fanouts is None:
-        full = encoder.encode_full(view.X, view)
-        return dc.gather_rows(full, seeds)
-    sample = sample_neighbors(view, seeds, fanouts, rng)
-    return encoder.encode_sampled(view.X, sample)
+    return encoder.encode_sampled(view.X, sample_neighbors(view, seeds, fanouts, rng))
 
 
 def bgrl_loss(state: BgrlState, view1: CoGraph, view2: CoGraph, seeds,

@@ -133,12 +133,23 @@ def load_corpus(path: Path) -> SessionCorpus:
         if len(parts) < 3:
             raise DataError(f"{path}:{lineno}: corpus line needs id, items, timestamp: {line!r}")
         try:
-            items, start_ts = tuple(int(x) for x in parts[1:-1]), int(parts[-1])
+            items, start_ts = tuple(map(int, parts[1:-1])), int(parts[-1])
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-integer item or timestamp in "
                             f"{line!r}") from None
         sessions.append(Session(parts[0], items, start_ts))
+    # stages turn items and timestamps into int64 arrays (load_split, knnrec.index_sessions)
+    numbers = [*chain.from_iterable(s.items for s in sessions), *(s.start_ts for s in sessions)]
+    if numbers and not _fits_int64(numbers):
+        lineno = next(i for i, s in enumerate(sessions, start=1)
+                      if not _fits_int64((*s.items, s.start_ts)))
+        raise DataError(f"{path}:{lineno}: item or timestamp outside int64")
     return SessionCorpus(sessions)
+
+
+def _fits_int64(numbers) -> bool:
+    bounds = np.iinfo(np.int64)
+    return bounds.min <= min(numbers) and max(numbers) <= bounds.max
 
 
 def save_catalog(out: Path, catalog: ItemCatalog, X: np.ndarray):

@@ -51,10 +51,6 @@ class CoGraph:
     def degree(self, node: int) -> int:
         return int(self.indptr[node + 1] - self.indptr[node])
 
-    def neighbors(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[node], self.indptr[node + 1]
-        return self.indices[lo:hi], self.weights[lo:hi]
-
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(dst, src, weight) arrays sorted by (dst, src): row i aggregates
         from its sorted neighbor list."""
@@ -153,36 +149,35 @@ class NeighborSample:
         return np.unique(np.concatenate([self.layer1_nodes, self.hop2_src]))
 
 
-def _sample_frontier(graph: CoGraph, nodes: np.ndarray, fanout: int, rng):
-    dst, src, w = [], [], []
-    for node in nodes:
-        nbrs, ws = graph.neighbors(int(node))
-        deg = len(nbrs)
-        if deg == 0:
-            continue
-        if deg <= fanout:
-            chosen = np.arange(deg)
-        else:
-            chosen = np.sort(rng.choice(deg, size=fanout, replace=False))
-        dst.append(np.full(len(chosen), node, dtype=np.int64))
-        src.append(nbrs[chosen])
-        w.append(ws[chosen])
-    if not dst:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), np.zeros(0)
-    return np.concatenate(dst), np.concatenate(src), np.concatenate(w)
+def _sample_frontier(graph: CoGraph, nodes: np.ndarray, fanout: int | None, rng):
+    """CSR entries of the sorted distinct `nodes` as (dst, src, w) in (dst, src)
+    order: all of a row's entries, or, for a row longer than `fanout`, the
+    `fanout` with the lowest uniform keys (drawn only when some row is)."""
+    lo = graph.indptr[nodes]
+    deg = graph.indptr[nodes + 1] - lo
+    rank = np.arange(deg.sum()) - np.repeat(np.cumsum(deg) - deg, deg)  # within its row
+    entry = np.repeat(lo, deg) + rank
+    dst = np.repeat(nodes, deg)
+    if fanout is not None and deg.max(initial=0) > fanout:
+        # rows keep their spans under the (dst, key) sort, so `rank` ranks keys
+        by_key = np.lexsort((rng.uniform(size=len(entry)), dst))
+        keep = np.sort(by_key[rank < fanout])
+        entry, dst = entry[keep], dst[keep]
+    return dst, graph.indices[entry], graph.weights[entry]
 
 
-def sample_neighbors(graph: CoGraph, seeds, fanouts: tuple[int, int],
-                     rng: np.random.Generator) -> NeighborSample:
+def sample_neighbors(graph: CoGraph, seeds, fanouts: tuple[int, int] | None,
+                     rng: np.random.Generator | None = None) -> NeighborSample:
     """Uniform without-replacement neighbor sampling, two hops.
 
-    Nodes with degree below the fanout keep all neighbors (no padding).
-    Deterministic for a given generator state; sampled edges always exist in
-    the parent graph with identical weights.
+    A node with at most its hop's fanout neighbors keeps them all (no
+    padding). `fanouts=None` keeps every neighbor at both hops and draws
+    nothing, so `rng` may then be None. Deterministic for a given generator
+    state; sampled edges always exist in the parent graph with identical
+    weights.
     """
-    f1, f2 = fanouts
-    if f1 < 1 or f2 < 1:
+    f1, f2 = (None, None) if fanouts is None else fanouts
+    if fanouts is not None and (f1 < 1 or f2 < 1):
         raise DataError(f"fanouts must be >= 1, got {fanouts}")
     seeds = np.unique(np.asarray(seeds, dtype=np.int64))
     if seeds.size and (seeds.min() < 0 or seeds.max() >= graph.n):

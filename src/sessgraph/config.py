@@ -37,7 +37,7 @@ DEFAULTS: dict = {
     "embed": {
         "dim": 128,
         "hidden_dim": 128,
-        "fanouts": [10, 5],        # null disables sampling (full-graph encode)
+        "fanouts": [10, 5],        # null: every neighbour, no sampling draws
         "lr": 1e-3,
         "weight_decay": 1e-5,
         "ema_decay": 0.99,

@@ -10,8 +10,10 @@ pre-activation. Each encoder layer receives its input plus a learned
 projection of the raw node features (skip connection) and applies a
 learnable PReLU.
 
-Aggregation always runs in ascending neighbor-index order so full-graph and
-exhaustive-fanout sampled encodings agree to floating-point reproducibility.
+`encode_sampled` is the one two-layer forward, over a two-hop
+`NeighborSample` of seed nodes; `encode_full` runs it on every node with
+every neighbor (`fanouts=None`). Edges arrive in (dst, src) order, so each
+node sums its neighbors in ascending index order whatever the seeds.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import diffcore as dc
-from .cograph import CoGraph, NeighborSample
+from .cograph import CoGraph, NeighborSample, sample_neighbors
 from .config import DEFAULTS
 from .errors import ShapeError
 
@@ -115,12 +117,7 @@ class SkipEncoder:
         """All-node embeddings over the full (unsampled) graph."""
         if X.shape[0] != graph.n or X.shape[1] != self.d_feat:
             raise ShapeError("encode", X.shape, (graph.n, self.d_feat))
-        x = dc.Tensor(X)
-        edges = graph.directed_edges()
-        h = self._layer_input(0, x, x)
-        h1 = self.layers[0].forward(h, h, edges, graph.n)
-        h2_in = self._layer_input(1, h1, x)
-        return self.layers[1].forward(h2_in, h2_in, edges, graph.n)
+        return self.encode_sampled(X, sample_neighbors(graph, np.arange(graph.n), None))
 
     def encode_sampled(self, X: np.ndarray, sample: NeighborSample) -> dc.Tensor:
         """Seed-node embeddings via the sampled 2-hop closure.
@@ -137,7 +134,7 @@ class SkipEncoder:
         h1_edges = (
             np.searchsorted(layer1_nodes, sample.hop2_dst),
             np.searchsorted(input_nodes, sample.hop2_src),
-            sample.hop2_w.astype(np.float64),
+            sample.hop2_w,
         )
         h_dst_l1 = dc.gather_rows(h_in, np.searchsorted(input_nodes, layer1_nodes))
         h1 = self.layers[0].forward(h_dst_l1, h_in, h1_edges, len(layer1_nodes))
@@ -147,7 +144,7 @@ class SkipEncoder:
         h2_edges = (
             np.searchsorted(sample.seeds, sample.hop1_dst),
             np.searchsorted(layer1_nodes, sample.hop1_src),
-            sample.hop1_w.astype(np.float64),
+            sample.hop1_w,
         )
         h_dst_l2 = dc.gather_rows(h2_in, np.searchsorted(layer1_nodes, sample.seeds))
         return self.layers[1].forward(h_dst_l2, h2_in, h2_edges, len(sample.seeds))

@@ -130,13 +130,39 @@ def test_sample_counts_are_min_degree_fanout():
     rng = np.random.default_rng(5)
     item_lists = [[int(rng.integers(0, 25)) for _ in range(5)] for _ in range(60)]
     graph = cg.build_cograph(_corpus(item_lists), _catalog(25))
-    f1 = 4
-    s = cg.sample_neighbors(graph, np.arange(25), (f1, 2), rng)
-    for node in range(25):
-        got = np.sum(s.hop1_dst == node)
-        assert got == min(graph.degree(node), f1)
-        srcs = s.hop1_src[s.hop1_dst == node]
-        assert len(np.unique(srcs)) == len(srcs)  # distinct neighbors
+    f1, f2 = 4, 2
+    for seeds in (np.arange(25), np.arange(0, 25, 3)):
+        s = cg.sample_neighbors(graph, seeds, (f1, f2), rng)
+        for dst, src, frontier, fanout in [(s.hop1_dst, s.hop1_src, s.seeds, f1),
+                                           (s.hop2_dst, s.hop2_src, s.layer1_nodes, f2)]:
+            assert np.all(np.diff(dst * graph.n + src) > 0)  # (dst, src) order, distinct
+            for node in range(25):
+                want = min(graph.degree(node), fanout) if node in frontier else 0
+                assert np.sum(dst == node) == want
+
+
+def test_fanouts_none_keeps_every_entry_and_draws_nothing():
+    rng = np.random.default_rng(3)
+    item_lists = [[int(rng.integers(0, 25)) for _ in range(4)] for _ in range(50)]
+    graph = cg.build_cograph(_corpus(item_lists), _catalog(25))
+    seeds = np.array([2, 9, 17])
+    dst, src, w = graph.directed_edges()
+
+    def entries(nodes):
+        keep = np.isin(dst, nodes)
+        return dst[keep], src[keep], w[keep]
+
+    s = cg.sample_neighbors(graph, seeds, None)
+    closure = np.unique(np.concatenate([seeds, entries(seeds)[1]]))
+    for got, want in [((s.hop1_dst, s.hop1_src, s.hop1_w), entries(seeds)),
+                      ((s.hop2_dst, s.hop2_src, s.hop2_w), entries(closure))]:
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    gen = np.random.default_rng(8)
+    start = gen.bit_generator.state
+    again = cg.sample_neighbors(graph, seeds, None, gen)
+    assert gen.bit_generator.state == start
+    assert np.array_equal(again.hop2_src, s.hop2_src)
 
 
 def test_star_center_fanout_one_is_uniform():

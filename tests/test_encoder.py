@@ -32,7 +32,8 @@ def dense_attention_oracle(layer, H, graph):
     out = {}
     W, a = layer.W_att.data, layer.a.data[:, 0]
     for i in range(graph.n):
-        nbrs, ws = graph.neighbors(i)
+        lo, hi = graph.indptr[i], graph.indptr[i + 1]
+        nbrs, ws = graph.indices[lo:hi], graph.weights[lo:hi]
         if len(nbrs) == 0:
             continue
         logits = []
