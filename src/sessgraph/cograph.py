@@ -124,10 +124,11 @@ class NeighborSample:
     """Two-hop fixed-fanout sample rooted at seed nodes.
 
     hop1 holds the sampled edges feeding the output layer (dst in seeds);
-    hop2 feeds the input layer (dst in the hop-1 closure, which includes the
-    seeds themselves since their first-layer representations are needed).
-    All node ids are global; edge arrays are sorted by (dst, src).
-    `sample_neighbors` is the only producer.
+    hop2 feeds the input layer (dst in layer1_nodes, the hop-1 closure, which
+    includes the seeds themselves since their first-layer representations
+    are needed). input_nodes are the nodes whose raw features are required.
+    All node ids are global and node arrays sorted; edge arrays are sorted
+    by (dst, src). `sample_neighbors` is the only producer.
     """
 
     seeds: np.ndarray
@@ -137,16 +138,8 @@ class NeighborSample:
     hop2_dst: np.ndarray
     hop2_src: np.ndarray
     hop2_w: np.ndarray
-
-    @property
-    def layer1_nodes(self) -> np.ndarray:
-        """Nodes whose first-layer output is required (sorted, global ids)."""
-        return np.unique(np.concatenate([self.seeds, self.hop1_src]))
-
-    @property
-    def input_nodes(self) -> np.ndarray:
-        """Nodes whose raw features are required (sorted, global ids)."""
-        return np.unique(np.concatenate([self.layer1_nodes, self.hop2_src]))
+    layer1_nodes: np.ndarray
+    input_nodes: np.ndarray
 
 
 def _sample_frontier(graph: CoGraph, nodes: np.ndarray, fanout: int | None, rng):
@@ -185,7 +178,8 @@ def sample_neighbors(graph: CoGraph, seeds, fanouts: tuple[int, int] | None,
     h1_dst, h1_src, h1_w = _sample_frontier(graph, seeds, f1, rng)
     closure = np.unique(np.concatenate([seeds, h1_src]))
     h2_dst, h2_src, h2_w = _sample_frontier(graph, closure, f2, rng)
-    return NeighborSample(seeds, h1_dst, h1_src, h1_w, h2_dst, h2_src, h2_w)
+    inputs = np.unique(np.concatenate([closure, h2_src]))
+    return NeighborSample(seeds, h1_dst, h1_src, h1_w, h2_dst, h2_src, h2_w, closure, inputs)
 
 
 # ---------------------------------------------------------------------------

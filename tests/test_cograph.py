@@ -141,6 +141,25 @@ def test_sample_counts_are_min_degree_fanout():
                 assert np.sum(dst == node) == want
 
 
+def test_sample_keeps_each_rows_lowest_keys():
+    """Against a per-node loop given the same keys: hop 1 draws one uniform
+    per CSR entry of the seeds, and each row keeps its f1 lowest-keyed
+    entries, listed in (dst, src) order."""
+    rng = np.random.default_rng(6)
+    item_lists = [[int(rng.integers(0, 25)) for _ in range(5)] for _ in range(60)]
+    graph = cg.build_cograph(_corpus(item_lists), _catalog(25))
+    seeds, f1 = np.arange(0, 25, 2), 3
+    s = cg.sample_neighbors(graph, seeds, (f1, 2), np.random.default_rng(4))
+    keys = iter(np.random.default_rng(4).uniform(size=sum(graph.degree(v) for v in seeds)))
+    want = []
+    for v in seeds:
+        lo, hi = graph.indptr[v], graph.indptr[v + 1]
+        row_keys = [next(keys) for _ in range(lo, hi)]
+        for k in sorted(np.argsort(row_keys, kind="stable")[:f1]):
+            want.append((v, graph.indices[lo + k], graph.weights[lo + k]))
+    assert list(zip(s.hop1_dst, s.hop1_src, s.hop1_w)) == want
+
+
 def test_fanouts_none_keeps_every_entry_and_draws_nothing():
     rng = np.random.default_rng(3)
     item_lists = [[int(rng.integers(0, 25)) for _ in range(4)] for _ in range(50)]
