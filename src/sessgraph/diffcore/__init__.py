@@ -7,6 +7,7 @@ from .tensor import (
     backward,
     cosine_rows,
     cross_entropy_with_logits,
+    edge_pair_sum,
     gather_rows,
     l2_normalize,
     leaky_relu,
@@ -28,7 +29,7 @@ from .checkpoint import load_tensors, save_tensors
 __all__ = [
     "Tape", "Tensor", "active_tape", "pause_recording", "backward", "zero_grads",
     "matmul", "add", "scale", "mul", "transpose", "reshape", "row_concat",
-    "gather_rows", "leaky_relu", "prelu", "segment_softmax",
+    "gather_rows", "edge_pair_sum", "leaky_relu", "prelu", "segment_softmax",
     "segment_weighted_sum", "l2_normalize", "cosine_rows", "mean",
     "cross_entropy_with_logits",
     "OptimizerState", "adam_step", "adamw_step",

@@ -291,6 +291,42 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return out
 
 
+def edge_pair_sum(a: Tensor, b: Tensor, a_idx, b_idx, w, v: Tensor) -> Tensor:
+    """out[e] = a[a_idx[e]] + b[b_idx[e]] + w[e] * v for a (1, d) row v.
+
+    The gathered rows exist only inside this call, so the tape keeps one
+    (E, d) output and no per-edge copy of a or b. The adjoint scatter-adds
+    into a and b and gives w^T g to v.
+    """
+    ai = np.asarray(a_idx, dtype=np.intp)
+    bi = np.asarray(b_idx, dtype=np.intp)
+    wv = np.asarray(w, dtype=np.float64)
+    if (v.data.ndim != 2 or v.shape[0] != 1 or a.data.ndim != 2 or b.data.ndim != 2
+            or not a.shape[1] == b.shape[1] == v.shape[1]):
+        raise ShapeError("edge_pair_sum", a.shape, b.shape, v.shape)
+    if wv.ndim != 1 or not ai.shape == bi.shape == wv.shape:
+        raise ShapeError("edge_pair_sum", ai.shape, bi.shape, wv.shape)
+    for t, idx in ((a, ai), (b, bi)):
+        if idx.size and (idx.min() < 0 or idx.max() >= t.shape[0]):
+            raise ShapeError("edge_pair_sum", t.shape, (int(idx.min()), int(idx.max())))
+    pre = a.data[ai]
+    pre += b.data[bi]
+    pre += wv[:, None] * v.data
+    out = Tensor(pre)
+    _finite_or_raise("edge_pair_sum", out.data)
+
+    def _bw(g):
+        if a.requires_grad:
+            a._accumulate(_scatter_add_rows(ai, g, a.shape[0]), owned=True)
+        if b.requires_grad:
+            b._accumulate(_scatter_add_rows(bi, g, b.shape[0]), owned=True)
+        if v.requires_grad:
+            v._accumulate((wv @ g)[None, :], owned=True)
+
+    _record(out, (a, b, v), _bw)
+    return out
+
+
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     slope = float(slope)
     pos = a.data > 0

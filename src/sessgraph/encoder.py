@@ -3,12 +3,16 @@
 Each layer is a single-head GATv2 convolution whose attention width equals
 its output width d_out. Per directed edge (i <- j) the attention logit is
 a^T LeakyReLU(W_att [h_i || h_j || e_ij]) with W_att of shape
-(d_out, 2 d_in + 1) and slope LEAKY_SLOPE; coefficients are
-softmax-normalized over each node's neighborhood and weight the transformed
-neighbor values W_val h_j. A node with no neighbors gets a zero
-pre-activation. Each encoder layer receives its input plus a learned
-projection of the raw node features (skip connection) and applies a
-learnable PReLU.
+(d_out, 2 d_in + 1) and slope LEAKY_SLOPE. W_att is stored as that one
+tensor, but its column blocks W_l, W_r and w_e are applied apart, as
+W_l h_i + W_r h_j + e_ij w_e: each node row is projected once, by W_l as a
+destination and by W_r as a source, and `diffcore.edge_pair_sum` adds the
+two projections and the weight term per edge, so no per-edge copy of an
+input row is formed. Coefficients are softmax-normalized over each node's
+neighborhood and weight the transformed neighbor values W_val h_j. A node
+with no neighbors gets a zero pre-activation. Each encoder layer receives
+its input plus a learned projection of the raw node features (skip
+connection) and applies a learnable PReLU.
 
 `encode_sampled` is the one two-layer forward, over a two-hop
 `NeighborSample` of seed nodes; `encode_full` runs it on every node with
@@ -52,12 +56,13 @@ class Gatv2Layer:
     def coefficients(self, h_dst: dc.Tensor, h_src: dc.Tensor, edges) -> dc.Tensor:
         """Softmax-normalized attention coefficients; edges sorted by (dst, src)."""
         dst_idx, src_idx, w = edges
-        cat = dc.row_concat([
-            dc.gather_rows(h_dst, dst_idx),
-            dc.gather_rows(h_src, src_idx),
-            dc.Tensor(np.asarray(w, dtype=np.float64).reshape(-1, 1)),
-        ])
-        z = dc.leaky_relu(dc.matmul(cat, dc.transpose(self.W_att)), LEAKY_SLOPE)
+        d_in = h_src.shape[1]
+        blocks = dc.transpose(self.W_att)           # rows: W_l^T, W_r^T, w_e^T
+        pre = dc.edge_pair_sum(
+            dc.matmul(h_dst, dc.gather_rows(blocks, np.arange(d_in))),
+            dc.matmul(h_src, dc.gather_rows(blocks, np.arange(d_in, 2 * d_in))),
+            dst_idx, src_idx, w, dc.gather_rows(blocks, [2 * d_in]))
+        z = dc.leaky_relu(pre, LEAKY_SLOPE)
         logits = dc.reshape(dc.matmul(z, self.a), (len(dst_idx),))
         return dc.segment_softmax(logits, dst_idx)
 

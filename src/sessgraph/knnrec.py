@@ -173,7 +173,9 @@ def index_sessions(train: SessionCorpus) -> SessionIndex:
         raise DataError(f"negative item id {flat.min()} in the indexed sessions")
     start_ts = np.fromiter((s.start_ts for s in sessions), np.int64, n)
     _, id_code = np.unique(np.array([s.session_id for s in sessions]), return_inverse=True)
-    order = np.lexsort((-id_code, -start_ts))      # stable: ties keep position order
+    # ~t = -t - 1 orders newest first like -t but cannot wrap at -2**63;
+    # stable, so full ties keep position order
+    order = np.lexsort((-id_code, ~start_ts))
     rank = np.empty(n, np.int64)
     rank[order] = np.arange(n)
 

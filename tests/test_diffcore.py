@@ -264,6 +264,41 @@ def test_fd_row_concat_gather(seed):
     check_gradients(loss, [a, b])
 
 
+_EDGE_PAIRS = {
+    # every row of a and b is hit more than once, some rows of b never
+    "repeated": ([0, 0, 2, 3, 3, 3, 1], [4, 1, 1, 0, 4, 2, 4]),
+    "empty": ([], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_PAIRS))
+@pytest.mark.parametrize("seed", range(2))
+def test_fd_edge_pair_sum(case, seed):
+    rng = np.random.default_rng(seed + 15)
+    a, b, v = _rand(rng, 4, 3), _rand(rng, 5, 3), _rand(rng, 1, 3)
+    a_idx, b_idx = _EDGE_PAIRS[case]
+    w = rng.uniform(0.1, 2.0, size=len(a_idx))
+    probe = dc.Tensor(rng.normal(size=(len(a_idx), 2)))
+
+    def loss():
+        out = dc.edge_pair_sum(a, b, a_idx, b_idx, w, v)
+        return dc.mean(dc.matmul(dc.transpose(dc.mul(out, out)), probe))
+
+    check_gradients(loss, [a, b, v])
+
+
+def test_edge_pair_sum_matches_gathered_rows():
+    rng = np.random.default_rng(16)
+    a, b, v = _rand(rng, 3, 2), _rand(rng, 4, 2), _rand(rng, 1, 2)
+    a_idx, b_idx, w = [2, 0, 2], [1, 3, 1], np.array([0.5, 1.0, -2.0])
+    out = dc.edge_pair_sum(a, b, a_idx, b_idx, w, v)
+    np.testing.assert_array_equal(out.data, a.data[a_idx] + b.data[b_idx] + w[:, None] * v.data)
+    with pytest.raises(ShapeError, match="edge_pair_sum"):
+        dc.edge_pair_sum(a, b, a_idx, [1, 4, 1], w, v)
+    with pytest.raises(ShapeError, match="edge_pair_sum"):
+        dc.edge_pair_sum(a, b, a_idx, b_idx, w[:2], v)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_fd_leaky_relu(seed):
     rng = np.random.default_rng(seed + 20)

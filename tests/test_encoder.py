@@ -26,9 +26,11 @@ def random_graph(rng, n=10, p=0.4, d_feat=3):
     return cg.CoGraph.from_edges(n, triples, c_max=1, X=X), X
 
 
-def dense_attention_oracle(layer, H, graph):
-    """Direct dense recomputation of the attention softmax per node."""
+def dense_attention_oracle(layer, H, graph, H_src=None):
+    """Direct dense recomputation of the attention softmax per node, from
+    the concatenated form W_att [h_i || h_j || w_ij]; H_src defaults to H."""
     H = np.asarray(H, float)
+    H_src = H if H_src is None else np.asarray(H_src, float)
     out = {}
     W, a = layer.W_att.data, layer.a.data[:, 0]
     for i in range(graph.n):
@@ -38,7 +40,7 @@ def dense_attention_oracle(layer, H, graph):
             continue
         logits = []
         for j, w in zip(nbrs, ws):
-            cat = np.concatenate([H[i], H[j], [w]])
+            cat = np.concatenate([H[i], H_src[j], [w]])
             z = W @ cat
             z = np.where(z > 0, z, LEAKY_SLOPE * z)
             logits.append(a @ z)
@@ -76,15 +78,23 @@ def test_identical_neighbors_split_half():
 
 
 def test_coefficients_match_dense_oracle():
+    """Same rows on both sides, then distinct dst and src rows as
+    encode_sampled passes them, with d_in != d_out and an isolated node."""
     rng = np.random.default_rng(2)
     graph, X = random_graph(rng)
-    layer = Gatv2Layer(d_in=3, d_out=4, rng=rng)
-    h = dc.Tensor(X)
-    dst, src, w = graph.directed_edges()
-    alpha = layer.coefficients(h, h, (dst, src, w))
-    oracle = dense_attention_oracle(layer, X, graph)
-    for k in range(len(dst)):
-        assert alpha.data[k] == pytest.approx(oracle[(int(dst[k]), int(src[k]))], abs=1e-12)
+    isolated = cg.CoGraph.from_edges(graph.n + 1, np.column_stack(graph.upper()),
+                                     c_max=graph.c_max)
+    assert isolated.degree(graph.n) == 0
+    H_dst, H_src = rng.normal(size=(2, isolated.n, 5))
+    for g, d_in, h_dst, h_src in ((graph, 3, X, X), (isolated, 5, H_dst, H_src)):
+        layer = Gatv2Layer(d_in=d_in, d_out=4, rng=rng)
+        dst, src, w = g.directed_edges()
+        alpha = layer.coefficients(dc.Tensor(h_dst), dc.Tensor(h_src), (dst, src, w))
+        oracle = dense_attention_oracle(layer, h_dst, g, h_src)
+        assert len(oracle) == len(dst)
+        for k in range(len(dst)):
+            assert alpha.data[k] == pytest.approx(oracle[(int(dst[k]), int(src[k]))],
+                                                  abs=1e-12)
 
 
 def test_alpha_sums_to_one_per_node():
@@ -246,11 +256,40 @@ def test_checkpoint_layout_is_pinned(tmp_path):
 
 
 def test_export_bytes_are_pinned():
-    """encode_full on a fixed corpusgen graph keeps the bytes it had when the
-    encoder had a forward of its own, before it ran through encode_sampled."""
+    """encode_full on a fixed corpusgen graph keeps its bytes. Pinned when
+    the attention pre-activation became per-node projections summed per
+    edge, which changed the float summation order from the concatenated
+    product W_att [h_i || h_j || w_ij]."""
     graph = _corpusgen_graph()
     X = np.random.default_rng(1).normal(size=(graph.n, 3))
     enc = SkipEncoder(3, 4, 4, rng=np.random.default_rng(0))
     out = enc.encode_full(X, graph).data
     assert hashlib.sha256(out.tobytes()).hexdigest() == \
-        "c9fd5cba4052e4d1f580472559b0ea830796e6d9d9242ff3d1cf780b82b57976"
+        "c542e0009c03dbbe01c600062325284f8617127f59f687884f948df19d6c1bd7"
+
+
+def test_tape_holds_no_wide_per_edge_rows():
+    """A taped encode_sampled keeps, per layer, at most three outputs with
+    one row per edge and more than one column, none wider than d_out: the
+    attention never puts a per-edge copy of a node row on the tape."""
+    graph = _corpusgen_graph()
+    X = np.random.default_rng(1).normal(size=(graph.n, 9))
+    enc = SkipEncoder(9, 5, 4, rng=np.random.default_rng(0))
+    sample = cg.sample_neighbors(graph, np.arange(0, graph.n, 3), (6, 4),
+                                 np.random.default_rng(2))
+    spans = []
+    for layer in enc.layers:
+        def traced(h_dst, h_src, edges, n_dst, _forward=layer.forward, _layer=layer):
+            start = len(tape)
+            out = _forward(h_dst, h_src, edges, n_dst)
+            spans.append((_layer, len(edges[0]), tape._records[start:]))
+            return out
+        layer.forward = traced
+    with dc.Tape() as tape:
+        enc.encode_sampled(X, sample)
+    assert [n_edges for _, n_edges, _ in spans] == [len(sample.hop2_dst), len(sample.hop1_dst)]
+    for layer, n_edges, records in spans:
+        per_edge = [out.shape for out, _ in records
+                    if out.data.ndim == 2 and out.shape[0] == n_edges and out.shape[1] > 1]
+        assert len(per_edge) <= 3, per_edge
+        assert all(cols <= layer.d_out for _, cols in per_edge), per_edge

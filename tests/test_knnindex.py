@@ -135,3 +135,11 @@ def test_pool_candidate_without_embedding_row_is_config_error():
 def test_negative_item_is_data_error():
     with pytest.raises(DataError, match="negative item id -1"):
         kr.index_sessions(_corpus([[0, -1]], [0], ["a"]))
+
+
+def test_oldest_int64_timestamp_ranks_last():
+    """Recency order holds at the int64 limits: a start time of -2**63 is
+    the oldest, not the newest."""
+    index = kr.index_sessions(_corpus([[0], [1], [2]], [10, -2**63, 20], ["a", "b", "c"]))
+    assert index.order.tolist() == [2, 0, 1]
+    assert index.rank.tolist() == [1, 2, 0]
