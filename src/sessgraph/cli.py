@@ -330,7 +330,9 @@ def _experiment(cfg: dict, out: Path, task: str, corpus_name: str = "test"
                 ) -> tuple[evalkit.MetricReport, list[str]]:
     """The metric report of `task` ("knn" or "nextitem") on the prefixes of
     one corpus over `eval.repeats` runs, plus the next-item epoch log lines.
-    Every evaluating command (eval-knn, train-next, compare, grid) runs this."""
+    Every evaluating command (eval-knn, train-next, compare, grid) runs this.
+    The prefixes are built once; each next-item run ranks them all through
+    `NextItemModel.ranks`, in blocks of `nextitem.batch_size`."""
     ids = _catalog_ids(out)
     split = load_split(out, ids)
     embeddings = _load_embeddings(cfg, out, task, ids)
@@ -360,6 +362,7 @@ def _experiment(cfg: dict, out: Path, task: str, corpus_name: str = "test"
         if not train_prefixes:
             raise DataError("no train prefixes to train on")
         val_prefixes = corpus_prefixes(split.validation, cap)
+        eval_batch = nextitem.FlatPrefixes.of(prefixes)
         ni = cfg["nextitem"]
 
         def pipeline(seed):
@@ -375,8 +378,7 @@ def _experiment(cfg: dict, out: Path, task: str, corpus_name: str = "test"
                 nextitem.NextTrainConfig(epochs=ni["epochs"], lr=ni["lr"],
                                          batch_size=ni["batch_size"], seed=seed))
             logs.extend(f"seed={seed}\t{rec.as_line()}" for rec in result.records)
-            return evalkit.rank_metrics(
-                [model.target_rank(p.prefix, p.target) for p in prefixes], ks)
+            return evalkit.rank_metrics(model.ranks(eval_batch, ni["batch_size"]), ks)
 
     report = evalkit.run_experiment(pipeline, cfg["eval"]["repeats"],
                                     cfg["eval"]["master_seed"])
@@ -477,8 +479,11 @@ def _eval_grid_point(args):
 
 
 def run_grid(cfg: dict, out: Path, workers: int = 1) -> list[tuple[dict, float]]:
+    if workers < 1:
+        raise ConfigError(f"--workers: need at least 1, got {workers}")
     points = _grid_points(cfg)
     tasks = [(cfg, str(out), assignment) for assignment in points]
+    workers = min(workers, len(points))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_eval_grid_point, tasks))
@@ -522,12 +527,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_seeded_config(path, seed: int | None) -> dict:
+    """The config at `path`, with eval.master_seed = `seed` unless None,
+    checked as a value given in the file would be."""
+    cfg = load_config(path)
+    if seed is None:
+        return cfg
+    cfg["eval"]["master_seed"] = seed
+    return resolve_config(cfg)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["eval"]["master_seed"] = args.seed
+        cfg = _load_seeded_config(args.config, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "preprocess":
@@ -544,7 +557,7 @@ def main(argv=None) -> int:
             print("\n".join(_structured_lines(report) if args.format == "structured"
                             else report.table_lines()))
         elif args.command == "compare":
-            cfg_b = load_config(args.config_b)
+            cfg_b = _load_seeded_config(args.config_b, args.seed)
             out_b = Path(args.out_b) if args.out_b else out
             tests = run_compare(cfg, cfg_b, out, out_b, out, pair_by=args.pair_by)
             for name, r in sorted(tests.items()):

@@ -2,9 +2,12 @@
 
 The model is deliberately minimal: a session prefix is mean-pooled over its
 item embedding rows, items are scored against the same (tied) table, and
-training minimizes full-catalog softmax cross-entropy with Adam. The point
-under test is the initialization contract: the table starts either from a
-scaled-uniform draw or as an exact copy of graph-pretrained embeddings.
+training minimizes full-catalog softmax cross-entropy with Adam. Training
+and ranking share one pooling, `NextItemModel.pooled`, and ranking scores
+a prefix set in blocks of at most one training batch, so it never holds a
+wider score block than one training step's logits. The point under test is
+the initialization contract: the table starts either from a scaled-uniform
+draw or as an exact copy of graph-pretrained embeddings.
 """
 
 from __future__ import annotations
@@ -89,32 +92,39 @@ class NextItemModel:
         self.table = table
         self.m, self.d = table.shape
 
-    def batch_loss(self, batch: FlatPrefixes) -> dc.Tensor:
+    def pooled(self, batch: FlatPrefixes) -> dc.Tensor:
+        """The mean of each sample's prefix rows, one row per sample."""
         lengths = np.diff(batch.indptr)
         seg = np.repeat(np.arange(len(batch)), lengths)
         inv_len = np.repeat(1.0 / lengths, lengths)
         rows = dc.gather_rows(self.table, batch.items)
-        pooled = dc.segment_weighted_sum(rows, dc.Tensor(inv_len), seg, len(batch))
-        logits = dc.matmul(pooled, dc.transpose(self.table))
+        return dc.segment_weighted_sum(rows, dc.Tensor(inv_len), seg, len(batch))
+
+    def batch_loss(self, batch: FlatPrefixes) -> dc.Tensor:
+        logits = dc.matmul(self.pooled(batch), dc.transpose(self.table))
         return dc.cross_entropy_with_logits(logits, batch.targets)
 
-    def scores(self, prefix) -> np.ndarray:
-        """Inference-time scores over the whole catalog."""
-        rows = self.table.data[np.asarray(prefix, dtype=np.int64)]
-        return rows.mean(axis=0) @ self.table.data.T
+    def ranks(self, batch: FlatPrefixes, rows: int) -> np.ndarray:
+        """1-based rank of each target under descending score, ties by
+        ascending index, scoring `rows` samples at a time."""
+        ranks = np.empty(len(batch), dtype=np.int64)
+        items = np.arange(self.m)
+        with dc.pause_recording():
+            for lo in range(0, len(batch), rows):
+                block = batch.take(np.arange(lo, min(lo + rows, len(batch))))
+                s = self.pooled(block).data @ self.table.data.T
+                t = block.targets[:, None]
+                st = np.take_along_axis(s, t, axis=1)
+                ranks[lo:lo + len(block)] = 1 + np.count_nonzero(
+                    (s > st) | ((s == st) & (items < t)), axis=1)
+        return ranks
 
-    def target_rank(self, prefix, target: int) -> int:
-        """1-based rank under descending score, ties by ascending index."""
-        s = self.scores(prefix)
-        ts = s[target]
-        return 1 + int(np.count_nonzero(s > ts) + np.count_nonzero(s[:target] == ts))
 
-
-def evaluate_ranks(model: NextItemModel, prefixes: list[PrefixSample]):
+def evaluate_ranks(model: NextItemModel, batch: FlatPrefixes, rows: int):
     """(HR@VAL_K, MRR@VAL_K) over a prefix set; (0.0, 0.0) for an empty one."""
-    if not prefixes:
+    if not len(batch):
         return 0.0, 0.0
-    metrics = rank_metrics([model.target_rank(p.prefix, p.target) for p in prefixes], (VAL_K,))
+    metrics = rank_metrics(model.ranks(batch, rows), (VAL_K,))
     return float(metrics[f"HR@{VAL_K}"].mean()), float(metrics[f"MRR@{VAL_K}"].mean())
 
 
@@ -156,6 +166,7 @@ def train_next(model: NextItemModel, train_prefixes: list[PrefixSample],
     rng = np.random.default_rng(config.seed)
     opt = dc.OptimizerState([model.table], lr=config.lr)
     flat = FlatPrefixes.of(train_prefixes)
+    val = FlatPrefixes.of(val_prefixes)
     records = []
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
@@ -175,7 +186,7 @@ def train_next(model: NextItemModel, train_prefixes: list[PrefixSample],
             del tape    # free the batch's activations before the next batch builds its own
             dc.adam_step(opt, [model.table])
             losses.append(float(loss.data))
-        hr, mrr = evaluate_ranks(model, val_prefixes)
+        hr, mrr = evaluate_ranks(model, val, config.batch_size)
         records.append(EpochRecord(epoch, float(np.mean(losses)) if losses else 0.0,
                                    hr, mrr, time.perf_counter() - t0))
     return NextTrainResult(model, records)

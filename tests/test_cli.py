@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sessgraph import cli
+from sessgraph import cli, evalkit
 from sessgraph.cograph import CoGraph
 from sessgraph.config import DEFAULTS, config_hash, load_config, resolve_config
 from sessgraph.errors import ConfigError, DataError
@@ -520,3 +520,67 @@ def test_compare_and_grid_on_nextitem_task(workdir, tmp_path, capsys):
     objectives = [float(line.split("\t")[1]) for line in summary[1:]]
     assert objectives == sorted(objectives, reverse=True)
     assert all(0.0 <= v <= 1.0 for v in objectives)
+
+
+@pytest.mark.parametrize("command", ["train-embed", "train-next"])
+def test_negative_seed_override_is_config_error(workdir, capsys, command):
+    root, cfg_path, out = workdir
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out),
+                     "--seed", "-1"]) == 2
+    assert "eval.master_seed" in capsys.readouterr().err
+
+
+def test_compare_applies_seed_override_to_both_configs(tmp_path, monkeypatch):
+    seeds = []
+
+    def recording_experiment(cfg, out, task, corpus_name="test"):
+        seeds.append(cfg["eval"]["master_seed"])
+        report = evalkit.MetricReport()
+        report.add_run({"HR@10": np.array([0.0, 1.0, float(len(seeds))])})
+        return report, []
+
+    monkeypatch.setattr(cli, "_experiment", recording_experiment)
+    cfg_a = _write(tmp_path / "a.json", json.dumps({"eval": {"master_seed": 1}}))
+    cfg_b = _write(tmp_path / "b.json", json.dumps({"eval": {"master_seed": 2}}))
+    argv = ["compare", "--config", str(cfg_a), "--config-b", str(cfg_b),
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--seed", "5"]) == 0
+    assert seeds == [1, 2, 5, 5]
+    assert cli.main(argv + ["--seed", "-1"]) == 2
+    assert len(seeds) == 4
+
+
+@pytest.mark.parametrize("workers, pools", [(1, []), (2, [2]), (64, [3])])
+def test_grid_starts_at_most_one_worker_per_point(tmp_path, monkeypatch, workers, pools):
+    started = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_eval_grid_point", lambda task: (task[2], 0.5))
+    cfg = resolve_config({"grid": {"parameters": {"knn.k": [5, 10, 20]}}})
+    assert len(cli.run_grid(cfg, tmp_path, workers=workers)) == 3
+    assert started == pools
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_grid_workers_below_one_exit_code(tmp_path, capsys, workers):
+    cfg = _write(tmp_path / "g.json",
+                 json.dumps({"grid": {"parameters": {"knn.k": [5, 10]}}}))
+    assert cli.main(["grid", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--workers", workers]) == 2
+    assert "--workers" in capsys.readouterr().err

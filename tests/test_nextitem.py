@@ -1,5 +1,8 @@
-"""Next-item model: initialization contract, gradient check, memorization
-sanity, tied-weight identity, threshold scan."""
+"""Next-item model: initialization contract, gradient check, batched ranking
+against the per-prefix rule, memorization sanity, tied-weight identity,
+threshold scan."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,18 +41,10 @@ def test_tied_weight_identity():
     """Score of item x for prefix [x] is the squared norm of its row."""
     rng = np.random.default_rng(4)
     model = ni.NextItemModel(ni.init_table(ni.SCALED_UNIFORM, 6, 3, rng=rng))
-    for x in range(6):
-        s = model.scores([x])
-        assert s[x] == pytest.approx(float(model.table.data[x] @ model.table.data[x]))
-
-
-def test_softmax_normalization():
-    rng = np.random.default_rng(5)
-    model = ni.NextItemModel(ni.init_table(ni.SCALED_UNIFORM, 8, 4, rng=rng))
-    s = model.scores([1, 3])
-    p = np.exp(s - s.max())
-    p /= p.sum()
-    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    pooled = model.pooled(ni.FlatPrefixes.of([PrefixSample((x,), x) for x in range(6)])).data
+    assert np.array_equal(pooled, model.table.data)
+    scores = pooled @ model.table.data.T
+    assert np.allclose(np.diag(scores), np.sum(model.table.data ** 2, axis=1), rtol=1e-12)
 
 
 def test_single_item_catalog_loss_is_zero():
@@ -115,11 +110,70 @@ def test_flat_prefix_batch_loss_equals_list_built_bitwise():
                     == _loss_and_grad(model, lambda: _list_built_loss(model, batch)))
 
 
-def test_target_rank_breaks_ties_by_ascending_index():
+def _reference_rank(table, prefix, target):
+    """The per-prefix rule: 1-based rank of target under descending score
+    against the mean of the prefix rows, ties by ascending index."""
+    s = table[np.asarray(prefix)].mean(axis=0) @ table.T
+    ts = s[target]
+    return 1 + int(np.count_nonzero(s > ts) + np.count_nonzero(s[:target] == ts))
+
+
+def test_ranks_break_ties_by_ascending_index():
     model = ni.NextItemModel(dc.Tensor(np.array([[1.0], [2.0], [1.0], [2.0], [0.5]])))
     # scores against prefix (0,): [1, 2, 1, 2, 0.5]
-    assert [model.target_rank((0,), t) for t in range(5)] == [3, 1, 4, 2, 5]
-    assert isinstance(model.target_rank((0,), 0), int)
+    batch = ni.FlatPrefixes.of([PrefixSample((0,), t) for t in range(5)])
+    with dc.Tape() as tape:
+        ranks = model.ranks(batch, rows=2)
+    assert ranks.tolist() == [3, 1, 4, 2, 5] and ranks.dtype == np.int64
+    assert len(tape) == 0
+
+
+def test_ranks_match_per_prefix_rule_on_tied_scores():
+    """Integer-valued rows and prefixes of 1, 2 or 4 items keep every score
+    exact under both poolings, so ties are common and must break alike."""
+    rng = np.random.default_rng(11)
+    for m, d in ((9, 2), (40, 3)):
+        table = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
+        model = ni.NextItemModel(dc.Tensor(table))
+        prefixes = [PrefixSample(tuple(int(i) for i in rng.integers(0, m, rng.choice([1, 2, 4]))),
+                                 int(rng.integers(0, m))) for _ in range(60)]
+        batch = ni.FlatPrefixes.of(prefixes)
+        expected = [_reference_rank(table, p.prefix, p.target) for p in prefixes]
+        tied = [np.count_nonzero(s == s[p.target]) > 1 for p in prefixes
+                for s in [table[list(p.prefix)].mean(axis=0) @ table.T]]
+        assert sum(tied) >= len(prefixes) // 4
+        for rows in (1, 7, len(batch), len(batch) + 5):
+            assert model.ranks(batch, rows).tolist() == expected
+    empty = model.ranks(ni.FlatPrefixes.of([]), rows=3)
+    assert empty.shape == (0,) and empty.dtype == np.int64
+    assert ni.evaluate_ranks(model, ni.FlatPrefixes.of([]), rows=3) == (0.0, 0.0)
+
+
+def test_ranking_peak_memory_is_at_most_one_training_step():
+    """Ranking any number of prefixes in blocks of B holds no more than one
+    training step at batch B does."""
+    rng = np.random.default_rng(12)
+    m, d, B = 500, 32, 1024
+    model = ni.NextItemModel(ni.init_table(ni.SCALED_UNIFORM, m, d, rng=rng))
+    flat = ni.FlatPrefixes.of(
+        [PrefixSample(tuple(int(i) for i in rng.integers(0, m, rng.integers(1, 8))),
+                      int(rng.integers(0, m))) for _ in range(3 * B + 17)])
+
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def training_step():
+        with dc.Tape() as tape:
+            loss = model.batch_loss(flat.take(np.arange(B)))
+        model.table.zero_grad()
+        dc.backward(tape, loss)
+
+    assert peak_bytes(lambda: model.ranks(flat, rows=B)) <= peak_bytes(training_step)
 
 
 def test_pretrained_table_remains_trainable():
@@ -144,7 +198,7 @@ def test_memorizable_corpus_reaches_perfect_hr1():
     result = ni.train_next(model, prefixes, prefixes,
                            ni.NextTrainConfig(epochs=50, lr=0.05, batch_size=4))
     # HR@1 = 1.0: every target ranks first
-    assert [result.model.target_rank(p.prefix, p.target) for p in prefixes] == [1, 1, 1]
+    assert result.model.ranks(ni.FlatPrefixes.of(prefixes), rows=2).tolist() == [1, 1, 1]
 
 
 def test_training_determinism():
