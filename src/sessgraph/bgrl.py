@@ -126,8 +126,6 @@ def bgrl_loss(state: BgrlState, view1: CoGraph, view2: CoGraph, seeds,
     with dc.pause_recording():
         t1 = _encode_view(state.target, view1, seeds, fanouts, rng)
         t2 = _encode_view(state.target, view2, seeds, fanouts, rng)
-    t1 = dc.Tensor(t1.data.copy())
-    t2 = dc.Tensor(t2.data.copy())
 
     p1 = state.predictor.forward(z1)
     p2 = state.predictor.forward(z2)

@@ -227,7 +227,7 @@ def run_preprocess(cfg: dict, out: Path) -> dict:
     split0 = temporal_split(corpus, tuple(pp["fractions"]))
     split, catalog = restrict_split_to_train(split0, catalog0)
     rows = collect_feature_rows(interactions)
-    X, _ = encode_features({e: rows[e] for e in catalog.external_ids}, schema, catalog)
+    X, columns = encode_features(rows, schema, catalog)
 
     outputs = []
     for name, corpus_part in (("train", split.train), ("validation", split.validation),
@@ -247,6 +247,7 @@ def run_preprocess(cfg: dict, out: Path) -> dict:
         "retained_counts": [len(split.train), len(split.validation), len(split.test)],
         "catalog_size": len(catalog),
         "feature_width": int(X.shape[1]),
+        "feature_columns": list(columns),
     }
     _write_manifest(out, "preprocess", cfg, cfg["eval"]["master_seed"],
                     [source], outputs, params)
@@ -332,7 +333,9 @@ def _experiment(cfg: dict, out: Path, task: str, corpus_name: str = "test"
     one corpus over `eval.repeats` runs, plus the next-item epoch log lines.
     Every evaluating command (eval-knn, train-next, compare, grid) runs this.
     The prefixes are built once; each next-item run ranks them all through
-    `NextItemModel.ranks`, in blocks of `nextitem.batch_size`."""
+    `NextItemModel.ranks`, in blocks of `nextitem.batch_size`. On the
+    validation corpus it reports the ranks of `train_next`'s last epoch,
+    which ranks those same prefixes."""
     ids = _catalog_ids(out)
     split = load_split(out, ids)
     embeddings = _load_embeddings(cfg, out, task, ids)
@@ -362,7 +365,7 @@ def _experiment(cfg: dict, out: Path, task: str, corpus_name: str = "test"
         if not train_prefixes:
             raise DataError("no train prefixes to train on")
         val_prefixes = corpus_prefixes(split.validation, cap)
-        eval_batch = nextitem.FlatPrefixes.of(prefixes)
+        eval_batch = None if corpus_name == "validation" else nextitem.FlatPrefixes.of(prefixes)
         ni = cfg["nextitem"]
 
         def pipeline(seed):
@@ -378,7 +381,9 @@ def _experiment(cfg: dict, out: Path, task: str, corpus_name: str = "test"
                 nextitem.NextTrainConfig(epochs=ni["epochs"], lr=ni["lr"],
                                          batch_size=ni["batch_size"], seed=seed))
             logs.extend(f"seed={seed}\t{rec.as_line()}" for rec in result.records)
-            return evalkit.rank_metrics(model.ranks(eval_batch, ni["batch_size"]), ks)
+            ranks = (result.val_ranks if eval_batch is None
+                     else model.ranks(eval_batch, ni["batch_size"]))
+            return evalkit.rank_metrics(ranks, ks)
 
     report = evalkit.run_experiment(pipeline, cfg["eval"]["repeats"],
                                     cfg["eval"]["master_seed"])

@@ -121,11 +121,13 @@ class NextItemModel:
 
 
 def evaluate_ranks(model: NextItemModel, batch: FlatPrefixes, rows: int):
-    """(HR@VAL_K, MRR@VAL_K) over a prefix set; (0.0, 0.0) for an empty one."""
+    """(HR@VAL_K, MRR@VAL_K, ranks) over a prefix set; the metrics are
+    (0.0, 0.0) for an empty one."""
+    ranks = model.ranks(batch, rows)
     if not len(batch):
-        return 0.0, 0.0
-    metrics = rank_metrics(model.ranks(batch, rows), (VAL_K,))
-    return float(metrics[f"HR@{VAL_K}"].mean()), float(metrics[f"MRR@{VAL_K}"].mean())
+        return 0.0, 0.0, ranks
+    metrics = rank_metrics(ranks, (VAL_K,))
+    return float(metrics[f"HR@{VAL_K}"].mean()), float(metrics[f"MRR@{VAL_K}"].mean()), ranks
 
 
 @dataclass
@@ -153,6 +155,7 @@ class EpochRecord:
 class NextTrainResult:
     model: NextItemModel
     records: list[EpochRecord]
+    val_ranks: np.ndarray | None    # the last epoch's validation ranks; None after 0 epochs
 
     @property
     def hr_curve(self) -> list[float]:
@@ -167,7 +170,7 @@ def train_next(model: NextItemModel, train_prefixes: list[PrefixSample],
     opt = dc.OptimizerState([model.table], lr=config.lr)
     flat = FlatPrefixes.of(train_prefixes)
     val = FlatPrefixes.of(val_prefixes)
-    records = []
+    records, val_ranks = [], None
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         order = rng.permutation(len(train_prefixes))
@@ -186,10 +189,10 @@ def train_next(model: NextItemModel, train_prefixes: list[PrefixSample],
             del tape    # free the batch's activations before the next batch builds its own
             dc.adam_step(opt, [model.table])
             losses.append(float(loss.data))
-        hr, mrr = evaluate_ranks(model, val, config.batch_size)
+        hr, mrr, val_ranks = evaluate_ranks(model, val, config.batch_size)
         records.append(EpochRecord(epoch, float(np.mean(losses)) if losses else 0.0,
                                    hr, mrr, time.perf_counter() - t0))
-    return NextTrainResult(model, records)
+    return NextTrainResult(model, records, val_ranks)
 
 
 def epochs_to_threshold(curve, threshold: float) -> int | None:

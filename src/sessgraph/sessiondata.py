@@ -2,14 +2,16 @@
 
 Pipeline: load_interactions -> sessionize -> filter_corpus -> temporal_split
 -> restrict_split_to_train -> encode_features / generate_prefixes. All
-functions are pure over their inputs and deterministic.
+functions are pure over their inputs and deterministic. encode_features turns
+the catalog's raw feature rows into the graph's node feature matrix, one
+labelled column per categorical value and per numeric feature.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -366,61 +368,6 @@ def corpus_prefixes(corpus: SessionCorpus, max_len: int = _PREPROCESS["max_prefi
     return samples
 
 
-@dataclass
-class FeatureEncoder:
-    """Fitted one-hot + z-score encoder; reusable on unseen items.
-
-    Categorical features map training-observed values to one-hot columns
-    plus a trailing unknown column; numeric features are standardized with
-    training mean/std (population std, zero-variance columns collapse to 0).
-    """
-
-    schema: FeatureSchema
-    categories: dict[str, list[str]] = field(default_factory=dict)
-    numeric_stats: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-    @property
-    def width(self) -> int:
-        total = 0
-        for name, kind in self.schema.features:
-            total += len(self.categories[name]) + 1 if kind == CATEGORICAL else 1
-        return total
-
-    def fit(self, rows: list[tuple]) -> "FeatureEncoder":
-        for j, (name, kind) in enumerate(self.schema.features):
-            column = [row[j] for row in rows]
-            if kind == CATEGORICAL:
-                self.categories[name] = sorted({str(v) for v in column})
-            else:
-                vals = np.array([_parse_numeric(name, v) for v in column])
-                std = float(vals.std()) if len(vals) else 0.0
-                self.numeric_stats[name] = (float(vals.mean()) if len(vals) else 0.0, std)
-        return self
-
-    def transform(self, rows: list[tuple]) -> np.ndarray:
-        out = np.zeros((len(rows), self.width))
-        for i, row in enumerate(rows):
-            if len(row) != len(self.schema):
-                raise SchemaError(f"feature row has {len(row)} values, schema has {len(self.schema)}")
-            col = 0
-            for j, (name, kind) in enumerate(self.schema.features):
-                if kind == CATEGORICAL:
-                    cats = self.categories[name]
-                    try:
-                        out[i, col + cats.index(str(row[j]))] = 1.0
-                    except ValueError:
-                        out[i, col + len(cats)] = 1.0  # unknown column
-                    col += len(cats) + 1
-                else:
-                    mu, sd = self.numeric_stats[name]
-                    v = _parse_numeric(name, row[j])
-                    out[i, col] = (v - mu) / sd if sd > 0 else 0.0
-                    col += 1
-        if not np.all(np.isfinite(out)):
-            raise DataError("encoded feature matrix contains non-finite values")
-        return out
-
-
 def _parse_numeric(name: str, value) -> float:
     try:
         v = float(value)
@@ -432,15 +379,39 @@ def _parse_numeric(name: str, value) -> float:
 
 
 def encode_features(raw_rows: dict[str, tuple], schema: FeatureSchema,
-                    catalog: ItemCatalog) -> tuple[np.ndarray, FeatureEncoder]:
-    """Encode the catalog's raw feature rows into the matrix X.
+                    catalog: ItemCatalog) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Encode the catalog's raw feature rows into the matrix X, one row per
+    catalog item, and return it with its column labels.
 
-    Fitting statistics come from the catalog items only, so inference-time
-    transforms of unseen values fall into unknown columns / trained z-scores.
+    A categorical feature becomes a one-hot block over the values its catalog
+    rows take, in sorted str order, one column "name=value" each. A numeric
+    feature becomes one column "name", standardized by the catalog mean and
+    population std; a zero-variance feature gives an all-zero column.
     """
     missing = [ext for ext in catalog.external_ids if ext not in raw_rows]
     if missing:
         raise DataError(f"no raw feature row for items: {missing[:5]}")
-    ordered = [raw_rows[ext] for ext in catalog.external_ids]
-    enc = FeatureEncoder(schema).fit(ordered)
-    return enc.transform(ordered), enc
+    rows = [raw_rows[ext] for ext in catalog.external_ids]
+    for row in rows:
+        if len(row) != len(schema):
+            raise SchemaError(f"feature row has {len(row)} values, schema has {len(schema)}")
+    n = len(rows)
+    blocks, labels = [np.zeros((n, 0))], []
+    for j, (name, kind) in enumerate(schema.features):
+        if kind == CATEGORICAL:
+            values = [str(row[j]) for row in rows]
+            # a dict, not np.unique: numpy's str dtype drops trailing NULs
+            code = {v: k for k, v in enumerate(sorted(set(values)))}
+            block = np.zeros((n, len(code)))
+            block[np.arange(n), [code[v] for v in values]] = 1.0
+            labels += [f"{name}={v}" for v in code]
+        else:
+            vals = np.array([_parse_numeric(name, row[j]) for row in rows])
+            mu, sd = float(vals.mean()), float(vals.std())
+            block = ((vals - mu) / sd if sd > 0 else np.zeros(n))[:, None]
+            labels.append(name)
+        blocks.append(block)
+    X = np.hstack(blocks)
+    if not np.all(np.isfinite(X)):
+        raise DataError("encoded feature matrix contains non-finite values")
+    return X, tuple(labels)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sessgraph import cli, evalkit
+from sessgraph import cli, evalkit, nextitem
 from sessgraph.cograph import CoGraph
 from sessgraph.config import DEFAULTS, config_hash, load_config, resolve_config
 from sessgraph.errors import ConfigError, DataError
@@ -81,6 +81,14 @@ def test_preprocess_artifacts_and_manifest(workdir):
     assert manifest["params"]["assigned_counts"][0] == int(0.8 * n)
     assert "log.csv" in manifest["inputs"]
     assert manifest["versions"]["sessgraph"]
+
+
+def test_preprocess_writes_no_all_zero_feature_column(workdir):
+    root, cfg_path, out = workdir
+    _, X = cli.load_catalog(out)
+    assert np.all(np.any(X != 0, axis=0))
+    params = json.loads((out / "manifest_preprocess.json").read_text())["params"]
+    assert len(params["feature_columns"]) == params["feature_width"] == X.shape[1]
 
 
 def test_corpus_roundtrip(workdir):
@@ -520,6 +528,36 @@ def test_compare_and_grid_on_nextitem_task(workdir, tmp_path, capsys):
     objectives = [float(line.split("\t")[1]) for line in summary[1:]]
     assert objectives == sorted(objectives, reverse=True)
     assert all(0.0 <= v <= 1.0 for v in objectives)
+
+
+def test_nextitem_grid_ranks_validation_once_per_epoch(workdir, tmp_path, monkeypatch):
+    """A next-item grid point reports on the validation ranks of train_next's
+    last epoch instead of ranking the validation prefixes again."""
+    root, cfg_path, out = workdir
+    art = tmp_path / "art"
+    shutil.copytree(out, art)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["task"] = "nextitem"
+    cfg["nextitem"]["epochs"] = 2
+    cfg["grid"] = {"parameters": {"nextitem.lr": [0.05]}}
+    calls = []
+    ranks = nextitem.NextItemModel.ranks
+
+    def counting_ranks(model, batch, rows):
+        calls.append((model, batch, rows))
+        return ranks(model, batch, rows)
+
+    monkeypatch.setattr(nextitem.NextItemModel, "ranks", counting_ranks)
+    cfg_g = _write(tmp_path / "g.json", json.dumps(cfg))
+    assert cli.main(["grid", "--config", str(cfg_g), "--out", str(art)]) == 0
+    assert len(calls) == 2
+    # the summary holds what ranking the final model again would give
+    model, batch, rows = calls[-1]
+    assert len(batch) == len(corpus_prefixes(cli.load_split(art).validation))
+    objective = DEFAULTS["grid"]["objective"]
+    again = evalkit.rank_metrics(ranks(model, batch, rows), tuple(DEFAULTS["eval"]["k_values"]))
+    assert (art / "grid_summary.tsv").read_text().splitlines()[1] \
+        == f"1\t{again[objective].mean():.10f}\t{json.dumps({'nextitem.lr': 0.05})}"
 
 
 @pytest.mark.parametrize("command", ["train-embed", "train-next"])

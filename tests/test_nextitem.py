@@ -146,7 +146,8 @@ def test_ranks_match_per_prefix_rule_on_tied_scores():
             assert model.ranks(batch, rows).tolist() == expected
     empty = model.ranks(ni.FlatPrefixes.of([]), rows=3)
     assert empty.shape == (0,) and empty.dtype == np.int64
-    assert ni.evaluate_ranks(model, ni.FlatPrefixes.of([]), rows=3) == (0.0, 0.0)
+    hr, mrr, ranks = ni.evaluate_ranks(model, ni.FlatPrefixes.of([]), rows=3)
+    assert (hr, mrr) == (0.0, 0.0) and ranks.shape == (0,)
 
 
 def test_ranking_peak_memory_is_at_most_one_training_step():

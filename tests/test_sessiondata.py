@@ -353,12 +353,12 @@ def test_prefix_count_identity():
 # encode_features
 # ---------------------------------------------------------------------------
 
-def test_categorical_gets_unknown_column():
+def test_encoding_blocks_and_labels():
     catalog = sd.ItemCatalog.from_ids(["a", "b", "c"])
-    rows = {"a": ("x", "1"), "b": ("y", "2"), "c": ("z", "3")}
-    X, enc = sd.encode_features(rows, SCHEMA, catalog)
-    assert X.shape == (3, 5)  # 3 categories + unknown + 1 numeric
-    assert np.all(X[:, 3] == 0)  # unknown column never hit for training rows
+    rows = {"a": ("x", "1"), "b": ("y", "2"), "c": ("x", "3")}
+    X, columns = sd.encode_features(rows, SCHEMA, catalog)
+    assert columns == ("category=x", "category=y", "price")
+    assert X[:, :2].tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
 
 
 def test_zscore_closed_form():
@@ -376,15 +376,6 @@ def test_zero_variance_numeric_is_constant_zero():
     assert np.all(X == 0)
 
 
-def test_unseen_category_hits_unknown_column():
-    catalog = sd.ItemCatalog.from_ids(["a", "b"])
-    rows = {"a": ("x", "1"), "b": ("y", "2")}
-    _, enc = sd.encode_features(rows, SCHEMA, catalog)
-    new = enc.transform([("zzz", "1.5")])
-    assert new[0, 2] == 1.0  # unknown column of the categorical block
-    assert new[0, :2].sum() == 0
-
-
 def test_encoding_is_deterministic():
     rng = np.random.default_rng(9)
     ids = [f"i{k}" for k in range(30)]
@@ -393,3 +384,85 @@ def test_encoding_is_deterministic():
     X1, _ = sd.encode_features(rows, SCHEMA, catalog)
     X2, _ = sd.encode_features(dict(reversed(list(rows.items()))), SCHEMA, catalog)
     assert np.array_equal(X1, X2)
+
+
+def _reference_encoding(rows, schema):
+    """The per-row rule, one cell at a time: a 1 in the column of the row's
+    value among the sorted str values of a categorical feature; for a numeric
+    feature, (v - mean) / std with the population std, or 0 when std is 0."""
+    cats, stats = {}, {}
+    for j, (name, kind) in enumerate(schema.features):
+        if kind == sd.CATEGORICAL:
+            cats[name] = sorted({str(row[j]) for row in rows})
+        else:
+            vals = np.array([float(row[j]) for row in rows])
+            stats[name] = (float(vals.mean()), float(vals.std()))
+    width = sum(len(cats[n]) if k == sd.CATEGORICAL else 1 for n, k in schema.features)
+    out = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        col = 0
+        for j, (name, kind) in enumerate(schema.features):
+            if kind == sd.CATEGORICAL:
+                out[i, col + cats[name].index(str(row[j]))] = 1.0
+                col += len(cats[name])
+            else:
+                mean, std = stats[name]
+                out[i, col] = (float(row[j]) - mean) / std if std > 0 else 0.0
+                col += 1
+    labels = []
+    for name, kind in schema.features:
+        labels += [f"{name}={v}" for v in cats[name]] if kind == sd.CATEGORICAL else [name]
+    return out, tuple(labels)
+
+
+# digit-like strings sort as strings ("10" < "9"), non-ASCII values, and two
+# values that differ only by a trailing NUL, which numpy's str dtype would merge
+CATEGORY_POOL = ["9", "10", "01", "1", "é", "日本", "Ω", "a", "a\x00", "b b"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_encoding_matches_per_row_reference(seed):
+    rng = np.random.default_rng(seed)
+    schema = sd.FeatureSchema((("c1", sd.CATEGORICAL), ("price", sd.NUMERIC),
+                               ("flat", sd.NUMERIC), ("c2", sd.CATEGORICAL)))
+    ids = [f"i{k}" for k in range(int(rng.integers(1, 40)))]
+    # draw indices: rng.choice over the strings would make a numpy str array
+    rows = {i: (CATEGORY_POOL[rng.integers(len(CATEGORY_POOL))],
+                repr(float(rng.normal(5.0, 3.0))), "3.25", CATEGORY_POOL[rng.integers(3)])
+            for i in ids}
+    catalog = sd.ItemCatalog.from_ids(ids)
+    X, columns = sd.encode_features(rows, schema, catalog)
+    ref, ref_columns = _reference_encoding([rows[e] for e in catalog.external_ids], schema)
+    assert X.tobytes() == ref.tobytes() and X.shape == ref.shape
+    assert columns == ref_columns
+    assert np.all(X[:, columns.index("flat")] == 0)
+
+
+def test_trailing_nul_is_its_own_category():
+    schema = sd.FeatureSchema((("c", sd.CATEGORICAL),))
+    catalog = sd.ItemCatalog.from_ids(["x", "y", "z"])
+    X, columns = sd.encode_features({"x": ("a",), "y": ("a\x00",), "z": ("a",)},
+                                    schema, catalog)
+    assert columns == ("c=a", "c=a\x00")
+    assert X.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("rows, error", [
+    ({"a": ("x", "1")}, DataError),                                  # no row for b
+    ({"a": ("x", "1"), "b": ("y",)}, SchemaError),                   # short row
+    ({"a": ("x", "1"), "b": ("y", "2", "3")}, SchemaError),          # long row
+    ({"a": ("x", "1"), "b": ("y", "cheap")}, DataError),             # unparseable
+    ({"a": ("x", "1"), "b": ("y", "inf")}, DataError),               # non-finite value
+    ({"a": ("x", "nan"), "b": ("y", "2")}, DataError),
+])
+def test_encoding_rejects_bad_rows(rows, error):
+    with pytest.raises(error):
+        sd.encode_features(rows, SCHEMA, sd.ItemCatalog.from_ids(["a", "b"]))
+
+
+def test_encoding_rejects_non_finite_result():
+    # finite inputs whose sum overflows: the mean is inf, so every z-score is not finite
+    schema = sd.FeatureSchema((("price", sd.NUMERIC),))
+    rows = {"a": ("1.7e308",), "b": ("1.7e308",), "c": ("-1.7e308",)}
+    with np.errstate(all="ignore"), pytest.raises(DataError, match="non-finite"):
+        sd.encode_features(rows, schema, sd.ItemCatalog.from_ids(["a", "b", "c"]))

@@ -1,6 +1,6 @@
 """The text readers under corrupted input: a truncated, byte-flipped or
-stuttered corpus file, catalog.ids or catalog.features either loads or raises
-DataError, never another exception."""
+stuttered corpus file, catalog.ids, catalog.features or interaction log either
+loads (the log: preprocesses) or raises DataError, never another exception."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sessgraph import cli, knnrec
+from sessgraph.config import resolve_config
 from sessgraph.errors import DataError
 from sessgraph.sessiondata import ItemCatalog, Session, SessionCorpus
 
@@ -69,6 +70,42 @@ def test_mutated_text_loads_or_raises_data_error(valid_dir, tmp_path_factory, na
     (root / name).write_bytes(_mutate(data, (valid_dir / name).read_bytes()))
     try:
         FILES[name](root)
+    except DataError:
+        pass
+
+
+LOG_FEATURES = [{"name": "kind", "kind": "categorical"}, {"name": "price", "kind": "numeric"}]
+KINDS = ["books", "é", "10", "9"]
+
+
+def _preprocess(log):
+    cfg = resolve_config({"dataset": {"path": str(log), "features": LOG_FEATURES},
+                          "preprocess": {"min_item_support": 1}})
+    return cli.run_preprocess(cfg, log.parent / "out")
+
+
+@pytest.fixture(scope="module")
+def valid_log(tmp_path_factory):
+    lines = ["session_id,item_id,timestamp,kind,price"]
+    for s in range(8):
+        for k in range(3):
+            i = (s + 2 * k) % len(IDS)
+            ts = 1700000000 + 3600 * s + 60 * k
+            lines.append(f"u{s},{IDS[i]},{ts},{KINDS[i % len(KINDS)]},{i * 1.5}")
+    log = tmp_path_factory.mktemp("log") / "log.csv"
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _preprocess(log)["feature_width"] == len(KINDS) + 1   # the unmutated log preprocesses
+    return log.read_bytes()
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_mutated_log_preprocesses_or_raises_data_error(valid_log, tmp_path_factory, data):
+    root = tmp_path_factory.getbasetemp() / "mutated-log"
+    root.mkdir(exist_ok=True)
+    (root / "log.csv").write_bytes(_mutate(data, valid_log))
+    try:
+        _preprocess(root / "log.csv")
     except DataError:
         pass
 
