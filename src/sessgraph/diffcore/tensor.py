@@ -291,39 +291,61 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return out
 
 
-def edge_pair_sum(a: Tensor, b: Tensor, a_idx, b_idx, w, v: Tensor) -> Tensor:
-    """out[e] = a[a_idx[e]] + b[b_idx[e]] + w[e] * v for a (1, d) row v.
+def edge_attention_logits(a: Tensor, b: Tensor, a_idx, b_idx, w, v: Tensor, att: Tensor,
+                          slope: float) -> Tensor:
+    """GATv2 edge logits: out[e] = att^T LeakyReLU(a[a_idx[e]] + b[b_idx[e]] + w[e] v)
+    for a (1, d) row v and a (d, 1) column att; a 1-D result of E entries.
 
-    The gathered rows exist only inside this call, so the tape keeps one
-    (E, d) output and no per-edge copy of a or b. The adjoint scatter-adds
-    into a and b and gives w^T g to v.
+    The (E, d) pre-activation exists only inside this call and inside its
+    adjoint, which rebuilds it with the same numpy calls, so the tape keeps
+    the (E,) logits alone. Values and gradients equal those of the gathered
+    sum, leaky_relu, matmul and reshape as separate primitives bit for bit.
     """
     ai = np.asarray(a_idx, dtype=np.intp)
     bi = np.asarray(b_idx, dtype=np.intp)
     wv = np.asarray(w, dtype=np.float64)
     if (v.data.ndim != 2 or v.shape[0] != 1 or a.data.ndim != 2 or b.data.ndim != 2
-            or not a.shape[1] == b.shape[1] == v.shape[1]):
-        raise ShapeError("edge_pair_sum", a.shape, b.shape, v.shape)
+            or not a.shape[1] == b.shape[1] == v.shape[1] or att.shape != (v.shape[1], 1)):
+        raise ShapeError("edge_attention_logits", a.shape, b.shape, v.shape, att.shape)
     if wv.ndim != 1 or not ai.shape == bi.shape == wv.shape:
-        raise ShapeError("edge_pair_sum", ai.shape, bi.shape, wv.shape)
+        raise ShapeError("edge_attention_logits", ai.shape, bi.shape, wv.shape)
     for t, idx in ((a, ai), (b, bi)):
         if idx.size and (idx.min() < 0 or idx.max() >= t.shape[0]):
-            raise ShapeError("edge_pair_sum", t.shape, (int(idx.min()), int(idx.max())))
-    pre = a.data[ai]
-    pre += b.data[bi]
-    pre += wv[:, None] * v.data
-    out = Tensor(pre)
-    _finite_or_raise("edge_pair_sum", out.data)
+            raise ShapeError("edge_attention_logits", t.shape,
+                             (int(idx.min()), int(idx.max())))
+    slope = float(slope)
+
+    def leaky_preactivation():
+        """(z, neg): z = LeakyReLU(pre) formed in place of pre, and pre <= 0."""
+        z = a.data[ai]
+        z += b.data[bi]
+        z += wv[:, None] * v.data
+        _finite_or_raise("edge_attention_logits", z)
+        neg = z <= 0
+        np.multiply(z, slope, out=z, where=neg)
+        return z, neg
+
+    z, _ = leaky_preactivation()
+    logits = z @ att.data
+    _finite_or_raise("edge_attention_logits", logits)
+    out = Tensor(logits.reshape(len(ai)))
 
     def _bw(g):
+        z, neg = leaky_preactivation()
+        g = g.reshape(len(ai), 1)
+        if att.requires_grad:
+            att._accumulate(z.T @ g)
+        del z
+        gz = g @ att.data.T
+        np.multiply(gz, slope, out=gz, where=neg)
         if a.requires_grad:
-            a._accumulate(_scatter_add_rows(ai, g, a.shape[0]), owned=True)
+            a._accumulate(_scatter_add_rows(ai, gz, a.shape[0]), owned=True)
         if b.requires_grad:
-            b._accumulate(_scatter_add_rows(bi, g, b.shape[0]), owned=True)
+            b._accumulate(_scatter_add_rows(bi, gz, b.shape[0]), owned=True)
         if v.requires_grad:
-            v._accumulate((wv @ g)[None, :], owned=True)
+            v._accumulate((wv @ gz)[None, :], owned=True)
 
-    _record(out, (a, b, v), _bw)
+    _record(out, (a, b, v, att), _bw)
     return out
 
 
@@ -398,29 +420,44 @@ def segment_softmax(logits: Tensor, segment_ids) -> Tensor:
     return out
 
 
-def segment_weighted_sum(values: Tensor, weights: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """out[s] = sum over rows r with segment_ids[r] == s of weights[r] * values[r].
+def segment_weighted_sum(values: Tensor, weights: Tensor, segment_ids, num_segments: int,
+                         rows=None) -> Tensor:
+    """out[s] = sum over r with segment_ids[r] == s of weights[r] * values[rows[r]],
+    with rows[r] = r when rows is None.
 
     Segments with no rows yield zero rows. segment_ids must be sorted; rows
-    are summed in index order so results are reproducible.
+    are summed in index order so results are reproducible. The gathered
+    values[rows] exist only inside this call and its adjoint, which
+    scatter-adds into values, so the result and gradients equal those of
+    segment_weighted_sum(gather_rows(values, rows), ...) bit for bit.
     """
     seg = np.asarray(segment_ids, dtype=np.intp)
+    idx = None if rows is None else np.asarray(rows, dtype=np.intp)
     if values.data.ndim != 2 or weights.data.ndim != 1:
         raise ShapeError("segment_weighted_sum", values.shape, weights.shape)
-    if values.shape[0] != seg.shape[0] or weights.shape[0] != seg.shape[0]:
+    gathered_rows = values.shape[:1] if idx is None else idx.shape
+    if gathered_rows != seg.shape or weights.shape != seg.shape:
         raise ShapeError("segment_weighted_sum", values.shape, weights.shape, seg.shape)
+    if idx is not None and idx.size and (idx.min() < 0 or idx.max() >= values.shape[0]):
+        raise ShapeError("segment_weighted_sum", values.shape, (int(idx.min()), int(idx.max())))
     if seg.size and np.any(np.diff(seg) < 0):
         raise ShapeError("segment_ids", seg.shape)
     if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
         raise ShapeError("segment_weighted_sum", seg.shape, (num_segments,))
-    out = Tensor(_scatter_add_rows(seg, values.data * weights.data[:, None], num_segments))
+
+    weighted = (values.data if idx is None else values.data[idx]) * weights.data[:, None]
+    out = Tensor(_scatter_add_rows(seg, weighted, num_segments))
     _finite_or_raise("segment_weighted_sum", out.data)
 
     def _bw(g):
-        if values.requires_grad:
-            values._accumulate(g[seg] * weights.data[:, None])
+        g = g[seg]
         if weights.requires_grad:
-            weights._accumulate(np.sum(g[seg] * values.data, axis=1))
+            weights._accumulate(np.sum(g * (values.data if idx is None else values.data[idx]),
+                                       axis=1))
+        if values.requires_grad:
+            g *= weights.data[:, None]
+            values._accumulate(g if idx is None else _scatter_add_rows(idx, g, values.shape[0]),
+                               owned=True)
 
     _record(out, (values, weights), _bw)
     return out
@@ -511,4 +548,56 @@ def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
             logits._accumulate(p, owned=True)
 
     _record(out, (logits,), _bw)
+    return out
+
+
+def tied_softmax_xent(h: Tensor, table: Tensor, targets) -> Tensor:
+    """Mean softmax cross-entropy of the (B, m) logits h @ table^T against B
+    target indices, without keeping the logits.
+
+    The tape keeps the row maxima and the row sums of exp(z - max), two (B,)
+    vectors. The adjoint recomputes z with the same gemm and turns it into
+    the softmax in place, so at most one (B, m) array is live at a time, and
+    loss and gradients equal those of
+    cross_entropy_with_logits(matmul(h, transpose(table)), targets) bit for bit.
+    """
+    tgt = np.atleast_1d(np.asarray(targets, dtype=np.intp))
+    if h.data.ndim != 2 or table.data.ndim != 2 or h.shape[1] != table.shape[1]:
+        raise ShapeError("tied_softmax_xent", h.shape, table.shape)
+    if tgt.ndim != 1 or tgt.shape[0] != h.shape[0]:
+        raise ShapeError("tied_softmax_xent", h.shape, tgt.shape)
+    if tgt.size and (tgt.min() < 0 or tgt.max() >= table.shape[0]):
+        raise ShapeError("tied_softmax_xent", table.shape, (int(tgt.max()),))
+    batch = h.shape[0]
+
+    def logits():
+        """(h @ table^T, table^T) through the C-ordered copy of table^T that
+        transpose(table) makes, so the gemms are those of matmul."""
+        table_t = table.data.T.copy()
+        return h.data @ table_t, table_t
+
+    z, _ = logits()
+    _finite_or_raise("tied_softmax_xent", z)
+    target_logits = z[np.arange(batch), tgt]
+    zmax = z.max(axis=1, keepdims=True)
+    z -= zmax
+    np.exp(z, out=z)
+    sums = np.sum(z, axis=1)
+    ce = np.log(sums) + zmax[:, 0] - target_logits
+    out = Tensor(np.asarray(ce.mean()))
+    _finite_or_raise("tied_softmax_xent", out.data)
+
+    def _bw(g):
+        p, table_t = logits()
+        p -= zmax
+        np.exp(p, out=p)
+        p /= sums[:, None]
+        p[np.arange(batch), tgt] -= 1.0
+        p *= float(g) / batch
+        if h.requires_grad:
+            h._accumulate(p @ table_t.T, owned=True)
+        if table.requires_grad:
+            table._accumulate((h.data.T @ p).T)
+
+    _record(out, (h, table), _bw)
     return out

@@ -6,11 +6,14 @@ a^T LeakyReLU(W_att [h_i || h_j || e_ij]) with W_att of shape
 (d_out, 2 d_in + 1) and slope LEAKY_SLOPE. W_att is stored as that one
 tensor, but its column blocks W_l, W_r and w_e are applied apart, as
 W_l h_i + W_r h_j + e_ij w_e: each node row is projected once, by W_l as a
-destination and by W_r as a source, and `diffcore.edge_pair_sum` adds the
-two projections and the weight term per edge, so no per-edge copy of an
-input row is formed. Coefficients are softmax-normalized over each node's
-neighborhood and weight the transformed neighbor values W_val h_j. A node
-with no neighbors gets a zero pre-activation. Each encoder layer receives
+destination and by W_r as a source, and `diffcore.edge_attention_logits`
+adds the two projections and the weight term per edge and applies the
+LeakyReLU and a. Coefficients are softmax-normalized over each node's
+neighborhood and weight the transformed neighbor values W_val h_j, which
+`diffcore.segment_weighted_sum` gathers per edge itself. Both primitives
+rebuild their (E, d_out) per-edge arrays in the backward pass, so the tape
+keeps only per-edge vectors and per-node rows. A node with no neighbors
+gets a zero pre-activation. Each encoder layer receives
 its input plus a learned projection of the raw node features (skip
 connection) and applies a learnable PReLU.
 
@@ -58,12 +61,10 @@ class Gatv2Layer:
         dst_idx, src_idx, w = edges
         d_in = h_src.shape[1]
         blocks = dc.transpose(self.W_att)           # rows: W_l^T, W_r^T, w_e^T
-        pre = dc.edge_pair_sum(
+        logits = dc.edge_attention_logits(
             dc.matmul(h_dst, dc.gather_rows(blocks, np.arange(d_in))),
             dc.matmul(h_src, dc.gather_rows(blocks, np.arange(d_in, 2 * d_in))),
-            dst_idx, src_idx, w, dc.gather_rows(blocks, [2 * d_in]))
-        z = dc.leaky_relu(pre, LEAKY_SLOPE)
-        logits = dc.reshape(dc.matmul(z, self.a), (len(dst_idx),))
+            dst_idx, src_idx, w, dc.gather_rows(blocks, [2 * d_in]), self.a, LEAKY_SLOPE)
         return dc.segment_softmax(logits, dst_idx)
 
     def forward(self, h_dst: dc.Tensor, h_src: dc.Tensor, edges, n_dst: int) -> dc.Tensor:
@@ -72,7 +73,7 @@ class Gatv2Layer:
         alpha = self.coefficients(h_dst, h_src, edges)
         dst_idx, src_idx, _ = edges
         values = dc.matmul(h_src, dc.transpose(self.W_val))
-        agg = dc.segment_weighted_sum(dc.gather_rows(values, src_idx), alpha, dst_idx, n_dst)
+        agg = dc.segment_weighted_sum(values, alpha, dst_idx, n_dst, rows=src_idx)
         return dc.prelu(agg, self.prelu)
 
 

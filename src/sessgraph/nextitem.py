@@ -2,10 +2,12 @@
 
 The model is deliberately minimal: a session prefix is mean-pooled over its
 item embedding rows, items are scored against the same (tied) table, and
-training minimizes full-catalog softmax cross-entropy with Adam. Training
-and ranking share one pooling, `NextItemModel.pooled`, and ranking scores
-a prefix set in blocks of at most one training batch, so it never holds a
-wider score block than one training step's logits. The point under test is
+training minimizes full-catalog softmax cross-entropy with Adam. The loss
+is `diffcore.tied_softmax_xent`, which recomputes the (B, m) logits in the
+backward pass rather than keeping them on the tape. Training and ranking
+share one pooling, `NextItemModel.pooled`, and ranking scores a prefix set
+in blocks of at most one training batch, one block at a time, so it never
+holds more scores than a training step forms at once. The point under test is
 the initialization contract: the table starts either from a scaled-uniform
 draw or as an exact copy of graph-pretrained embeddings.
 """
@@ -97,27 +99,35 @@ class NextItemModel:
         lengths = np.diff(batch.indptr)
         seg = np.repeat(np.arange(len(batch)), lengths)
         inv_len = np.repeat(1.0 / lengths, lengths)
-        rows = dc.gather_rows(self.table, batch.items)
-        return dc.segment_weighted_sum(rows, dc.Tensor(inv_len), seg, len(batch))
+        return dc.segment_weighted_sum(self.table, dc.Tensor(inv_len), seg, len(batch),
+                                       rows=batch.items)
 
     def batch_loss(self, batch: FlatPrefixes) -> dc.Tensor:
-        logits = dc.matmul(self.pooled(batch), dc.transpose(self.table))
-        return dc.cross_entropy_with_logits(logits, batch.targets)
+        return dc.tied_softmax_xent(self.pooled(batch), self.table, batch.targets)
 
     def ranks(self, batch: FlatPrefixes, rows: int) -> np.ndarray:
         """1-based rank of each target under descending score, ties by
         ascending index, scoring `rows` samples at a time."""
         ranks = np.empty(len(batch), dtype=np.int64)
-        items = np.arange(self.m)
         with dc.pause_recording():
             for lo in range(0, len(batch), rows):
                 block = batch.take(np.arange(lo, min(lo + rows, len(batch))))
-                s = self.pooled(block).data @ self.table.data.T
-                t = block.targets[:, None]
-                st = np.take_along_axis(s, t, axis=1)
-                ranks[lo:lo + len(block)] = 1 + np.count_nonzero(
-                    (s > st) | ((s == st) & (items < t)), axis=1)
+                ranks[lo:lo + len(block)] = self._block_ranks(block)
         return ranks
+
+    def _block_ranks(self, block: FlatPrefixes) -> np.ndarray:
+        """ranks() of one block. Its (rows, m) scores are freed before the
+        tie mask is formed, and its masks when it returns, so one block's
+        arrays are live at a time."""
+        s = self.pooled(block).data @ self.table.data.T
+        t = block.targets[:, None]
+        st = np.take_along_axis(s, t, axis=1)
+        hit = s > st
+        above = np.count_nonzero(hit, axis=1)
+        np.equal(s, st, out=hit)
+        del s
+        hit &= np.arange(self.m) < t
+        return 1 + above + np.count_nonzero(hit, axis=1)
 
 
 def evaluate_ranks(model: NextItemModel, batch: FlatPrefixes, rows: int):

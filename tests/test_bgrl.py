@@ -9,7 +9,7 @@ from sessgraph import cograph as cg
 from sessgraph import diffcore as dc
 from sessgraph.encoder import SkipEncoder
 
-from test_diffcore import finite_diff_grad, rel_err
+from test_diffcore import bytes_held_by_tape, finite_diff_grad, rel_err
 
 
 def two_block_graph(rng, n=100, p_in=0.2, p_out=0.01):
@@ -171,6 +171,20 @@ def test_target_receives_no_gradient():
     for name, p in state.target.parameters():
         assert p.grad is None, f"target parameter {name} received a gradient"
     assert any(p.grad is not None for _, p in state.online.parameters())
+
+
+def test_loss_tape_holds_no_per_edge_row_array():
+    """On a complete graph, where E = n(n - 1) is far above n, a forward over
+    every neighbor of a few seeds leaves the tape holding less than one
+    (E, d_hidden) float64 array: neither the attention pre-activation nor
+    the gathered value rows stay on it."""
+    rng = np.random.default_rng(9)
+    n, d_hidden = 100, 64
+    triples = [(i, j, float(rng.uniform(0.1, 1.0))) for i in range(n) for j in range(i + 1, n)]
+    graph = cg.CoGraph.from_edges(n, triples, c_max=1, X=rng.normal(size=(n, 4)))
+    state = bgrl.BgrlState.create(4, d_hidden, 16, rng=rng)
+    held = bytes_held_by_tape(lambda: bgrl.bgrl_loss(state, graph, graph, np.arange(8)))
+    assert held < 2 * graph.num_edges * d_hidden * 8
 
 
 # ---------------------------------------------------------------------------

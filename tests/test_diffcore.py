@@ -3,6 +3,7 @@ plus optimizer and checkpoint behavior."""
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sessgraph import diffcore as dc
-from sessgraph.diffcore.tensor import _scatter_add_rows
+from sessgraph.diffcore.tensor import _finite_or_raise, _record, _scatter_add_rows
 from sessgraph.errors import DataError, NumericError, ShapeError
 
 FD_H = 1e-5
@@ -47,6 +48,20 @@ def check_gradients(build_loss, params, tol=FD_TOL):
         fd = finite_diff_grad(lambda: float(build_loss().data), p.data)
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
         assert rel_err(analytic, fd) < tol, f"gradient mismatch for {p}"
+
+
+def bytes_held_by_tape(build):
+    """Bytes that a tape recorded around build() keeps alive: traced memory
+    with the tape minus traced memory after it is dropped."""
+    tracemalloc.start()
+    try:
+        with dc.Tape() as tape:
+            build()
+        with_tape = tracemalloc.get_traced_memory()[0]
+        del tape
+        return with_tape - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -273,30 +288,54 @@ _EDGE_PAIRS = {
 
 @pytest.mark.parametrize("case", sorted(_EDGE_PAIRS))
 @pytest.mark.parametrize("seed", range(2))
-def test_fd_edge_pair_sum(case, seed):
+def test_fd_edge_attention_logits(case, seed):
     rng = np.random.default_rng(seed + 15)
     a, b, v = _rand(rng, 4, 3), _rand(rng, 5, 3), _rand(rng, 1, 3)
+    att = _rand(rng, 3, 1)
     a_idx, b_idx = _EDGE_PAIRS[case]
     w = rng.uniform(0.1, 2.0, size=len(a_idx))
-    probe = dc.Tensor(rng.normal(size=(len(a_idx), 2)))
+    probe = dc.Tensor(rng.normal(size=(len(a_idx), 1)))
 
     def loss():
-        out = dc.edge_pair_sum(a, b, a_idx, b_idx, w, v)
+        out = dc.edge_attention_logits(a, b, a_idx, b_idx, w, v, att, 0.2)
+        out = dc.reshape(out, (len(a_idx), 1))
         return dc.mean(dc.matmul(dc.transpose(dc.mul(out, out)), probe))
 
-    check_gradients(loss, [a, b, v])
+    check_gradients(loss, [a, b, v, att])
 
 
-def test_edge_pair_sum_matches_gathered_rows():
+def test_edge_attention_logits_matches_gathered_rows():
     rng = np.random.default_rng(16)
-    a, b, v = _rand(rng, 3, 2), _rand(rng, 4, 2), _rand(rng, 1, 2)
+    a, b, v, att = _rand(rng, 3, 2), _rand(rng, 4, 2), _rand(rng, 1, 2), _rand(rng, 2, 1)
     a_idx, b_idx, w = [2, 0, 2], [1, 3, 1], np.array([0.5, 1.0, -2.0])
-    out = dc.edge_pair_sum(a, b, a_idx, b_idx, w, v)
-    np.testing.assert_array_equal(out.data, a.data[a_idx] + b.data[b_idx] + w[:, None] * v.data)
-    with pytest.raises(ShapeError, match="edge_pair_sum"):
-        dc.edge_pair_sum(a, b, a_idx, [1, 4, 1], w, v)
-    with pytest.raises(ShapeError, match="edge_pair_sum"):
-        dc.edge_pair_sum(a, b, a_idx, b_idx, w[:2], v)
+    out = dc.edge_attention_logits(a, b, a_idx, b_idx, w, v, att, 0.2)
+    pre = a.data[a_idx] + b.data[b_idx] + w[:, None] * v.data
+    np.testing.assert_array_equal(out.data, (np.where(pre > 0, pre, 0.2 * pre) @ att.data)[:, 0])
+    with pytest.raises(ShapeError, match="edge_attention_logits"):
+        dc.edge_attention_logits(a, b, a_idx, [1, 4, 1], w, v, att, 0.2)
+    with pytest.raises(ShapeError, match="edge_attention_logits"):
+        dc.edge_attention_logits(a, b, a_idx, b_idx, w[:2], v, att, 0.2)
+    with pytest.raises(ShapeError, match="edge_attention_logits"):
+        dc.edge_attention_logits(a, b, a_idx, b_idx, w, v, _rand(rng, 3, 1), 0.2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fd_segment_weighted_sum_gathered(seed):
+    rng = np.random.default_rng(seed + 55)
+    vals = _rand(rng, 4, 3)
+    w = dc.Tensor(rng.normal(size=8) + 0.2, requires_grad=True)
+    seg = np.sort(rng.integers(0, 4, size=8))
+    rows = rng.integers(0, 4, size=8)
+    check_gradients(lambda: dc.mean(dc.segment_weighted_sum(vals, w, seg, 5, rows=rows)),
+                    [vals, w])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fd_tied_softmax_xent(seed):
+    rng = np.random.default_rng(seed + 85)
+    h, table = _rand(rng, 4, 3), _rand(rng, 6, 3)
+    targets = rng.integers(0, 6, size=4)
+    check_gradients(lambda: dc.tied_softmax_xent(h, table, targets), [h, table])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -388,6 +427,166 @@ def test_fd_random_composition(seed):
         return dc.mean(pooled)
 
     check_gradients(loss, [a, b, slope], tol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# recompute-in-backward primitives against the composed paths they replace
+# ---------------------------------------------------------------------------
+
+def _edge_pair_sum(a, b, a_idx, b_idx, w, v):
+    """a[a_idx] + b[b_idx] + w v as one taped primitive that keeps its (E, d)
+    output: the attention's pre-activation before edge_attention_logits."""
+    ai, bi = np.asarray(a_idx, dtype=np.intp), np.asarray(b_idx, dtype=np.intp)
+    wv = np.asarray(w, dtype=np.float64)
+    for t, idx in ((a, ai), (b, bi)):
+        if idx.size and (idx.min() < 0 or idx.max() >= t.shape[0]):
+            raise ShapeError("edge_pair_sum", t.shape)
+    pre = a.data[ai]
+    pre += b.data[bi]
+    pre += wv[:, None] * v.data
+    out = dc.Tensor(pre)
+    _finite_or_raise("edge_pair_sum", out.data)
+
+    def _bw(g):
+        if a.requires_grad:
+            a._accumulate(_scatter_add_rows(ai, g, a.shape[0]), owned=True)
+        if b.requires_grad:
+            b._accumulate(_scatter_add_rows(bi, g, b.shape[0]), owned=True)
+        if v.requires_grad:
+            v._accumulate((wv @ g)[None, :], owned=True)
+
+    _record(out, (a, b, v), _bw)
+    return out
+
+
+def _attention_graph(seed, n_dst=7, n_src=9):
+    """(dst, src, w) sorted by dst: dst 0 has no edge and dst 1 one, the
+    others up to six; src rows repeat, and some are never drawn."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 7, size=n_dst)
+    counts[:2] = (0, 1)
+    dst = np.repeat(np.arange(n_dst), counts)
+    return dst, rng.integers(0, n_src, size=len(dst)), rng.uniform(0.1, 2.0, size=len(dst))
+
+
+def _attention_loss(fused, leaves, graph, probe, n_dst=7):
+    """Attention logits, segment softmax and the alpha-weighted sum of
+    gathered value rows, fused or composed from single primitives."""
+    a, b, v, att, values = leaves
+    dst, src, w = graph
+    if fused:
+        logits = dc.edge_attention_logits(a, b, dst, src, w, v, att, 0.2)
+        alpha = dc.segment_softmax(logits, dst)
+        agg = dc.segment_weighted_sum(values, alpha, dst, n_dst, rows=src)
+    else:
+        pre = _edge_pair_sum(a, b, dst, src, w, v)
+        logits = dc.reshape(dc.matmul(dc.leaky_relu(pre, 0.2), att), (len(dst),))
+        alpha = dc.segment_softmax(logits, dst)
+        agg = dc.segment_weighted_sum(dc.gather_rows(values, src), alpha, dst, n_dst)
+    return dc.mean(dc.mul(agg, probe))
+
+
+def _two_backwards(build, leaves):
+    """Loss bytes and every leaf gradient's bytes after one and after two
+    backward passes over the same tape."""
+    for leaf in leaves:
+        leaf.zero_grad()
+    with dc.Tape() as tape:
+        loss = build()
+    out = [loss.data.tobytes()]
+    for _ in range(2):
+        dc.backward(tape, loss)
+        out.append([leaf.grad.tobytes() for leaf in leaves])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_edge_attention_and_gathered_sum_equal_composed_path_bitwise(seed):
+    rng = np.random.default_rng(seed + 200)
+    leaves = [_rand(rng, 7, 5), _rand(rng, 9, 5), _rand(rng, 1, 5), _rand(rng, 5, 1),
+              _rand(rng, 9, 4)]
+    graph = _attention_graph(seed)
+    probe = dc.Tensor(rng.normal(size=(7, 4)))
+    fused = _two_backwards(lambda: _attention_loss(True, leaves, graph, probe), leaves)
+    composed = _two_backwards(lambda: _attention_loss(False, leaves, graph, probe), leaves)
+    assert fused == composed
+
+
+def test_gathered_sum_weight_gradient_equals_composed_path_bitwise():
+    """Leaf weights, empty and one-row segments, and a single row."""
+    rng = np.random.default_rng(210)
+    values, weights = _rand(rng, 6, 3), _rand(rng, 10)
+    seg = np.array([1, 1, 1, 2, 4, 4, 4, 4, 5, 7])
+    rows = rng.integers(0, 6, size=10)
+    for take in (np.arange(10), np.array([3])):
+        w = dc.Tensor(weights.data[take], requires_grad=True)
+        fused = _two_backwards(lambda: dc.mean(dc.segment_weighted_sum(
+            values, w, seg[take], 8, rows=rows[take])), [values, w])
+        composed = _two_backwards(lambda: dc.mean(dc.segment_weighted_sum(
+            dc.gather_rows(values, rows[take]), w, seg[take], 8)), [values, w])
+        assert fused == composed
+
+
+def _tied_cases():
+    rng = np.random.default_rng(220)
+    ints = rng.integers(-2, 3, size=(9, 3)).astype(np.float64)
+    ints[4] = ints[7] = ints[0]     # equal rows: every prefix ties on items 0, 4 and 7
+    return {
+        "random": (rng.normal(size=(6, 4)), rng.normal(size=(11, 4)), rng.integers(0, 11, 6)),
+        "one-row": (rng.normal(size=(1, 4)), rng.normal(size=(11, 4)), np.array([3])),
+        "tied": (rng.integers(-1, 2, size=(5, 3)).astype(np.float64), ints,
+                 np.array([0, 4, 7, 2, 7])),
+        "one-item": (rng.normal(size=(3, 2)), rng.normal(size=(1, 2)), np.zeros(3, int)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_tied_cases()))
+def test_tied_softmax_xent_equals_composed_path_bitwise(case):
+    h_data, table_data, targets = _tied_cases()[case]
+    h = dc.Tensor(h_data, requires_grad=True)
+    table = dc.Tensor(table_data, requires_grad=True)
+    fused = _two_backwards(lambda: dc.tied_softmax_xent(h, table, targets), [h, table])
+    composed = _two_backwards(lambda: dc.cross_entropy_with_logits(
+        dc.matmul(h, dc.transpose(table)), targets), [h, table])
+    assert fused == composed
+
+
+def test_fused_primitives_raise_where_the_composed_path_raised():
+    rng = np.random.default_rng(230)
+    a, b, v, att, values = (_rand(rng, 7, 5), _rand(rng, 9, 5), _rand(rng, 1, 5),
+                            _rand(rng, 5, 1), _rand(rng, 9, 4))
+    dst, src, w = _attention_graph(3)
+    probe = dc.Tensor(np.ones((7, 4)))
+    a.data[dst[-1]] = np.inf
+    values.data[src[0]] = np.nan
+    for fused in (True, False):
+        with pytest.raises(NumericError):
+            _attention_loss(fused, [a, b, v, att, values], (dst, src, w), probe)
+        with pytest.raises(NumericError):
+            _attention_loss(fused, [_rand(rng, 7, 5), b, v, att, values], (dst, src, w), probe)
+    bad_src = src.copy()
+    bad_src[0] = 9
+    with pytest.raises(ShapeError):
+        dc.edge_attention_logits(a, b, dst, bad_src, w, v, att, 0.2)
+    with pytest.raises(ShapeError):
+        _edge_pair_sum(a, b, dst, bad_src, w, v)
+    with pytest.raises(ShapeError):
+        dc.segment_weighted_sum(values, dc.Tensor(w), dst, 7, rows=bad_src)
+    with pytest.raises(ShapeError):
+        dc.segment_weighted_sum(dc.gather_rows(values, bad_src), dc.Tensor(w), dst, 7)
+
+    h, table = _rand(rng, 3, 2), _rand(rng, 5, 2)
+    h.data[1, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        dc.tied_softmax_xent(h, table, [0, 1, 2])
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        dc.cross_entropy_with_logits(dc.matmul(h, dc.transpose(table)), [0, 1, 2])
+    h = _rand(rng, 3, 2)
+    for targets in ([0, 5, 1], [0, -1, 1]):
+        with pytest.raises(ShapeError):
+            dc.tied_softmax_xent(h, table, targets)
+        with pytest.raises(ShapeError):
+            dc.cross_entropy_with_logits(dc.matmul(h, dc.transpose(table)), targets)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Next-item model: initialization contract, gradient check, batched ranking
-against the per-prefix rule, memorization sanity, tied-weight identity,
-threshold scan."""
+against the per-prefix rule, memory held by training and ranking,
+memorization sanity, tied-weight identity, threshold scan."""
 
 import tracemalloc
 
@@ -12,7 +12,7 @@ from sessgraph import nextitem as ni
 from sessgraph.errors import ShapeError
 from sessgraph.sessiondata import PrefixSample
 
-from test_diffcore import finite_diff_grad, rel_err
+from test_diffcore import bytes_held_by_tape, finite_diff_grad, rel_err
 
 
 def test_pretrained_copy_is_exact():
@@ -175,6 +175,18 @@ def test_ranking_peak_memory_is_at_most_one_training_step():
         dc.backward(tape, loss)
 
     assert peak_bytes(lambda: model.ranks(flat, rows=B)) <= peak_bytes(training_step)
+
+
+def test_batch_loss_tape_holds_less_than_one_logit_block():
+    """After a batch_loss forward at (B, m) the tape keeps less than one
+    (B, m) float64 array: the backward recomputes the logits."""
+    rng = np.random.default_rng(13)
+    m, d, B = 2000, 16, 256
+    model = ni.NextItemModel(ni.init_table(ni.SCALED_UNIFORM, m, d, rng=rng))
+    batch = ni.FlatPrefixes.of(
+        [PrefixSample(tuple(int(i) for i in rng.integers(0, m, rng.integers(1, 8))),
+                      int(rng.integers(0, m))) for _ in range(B)])
+    assert bytes_held_by_tape(lambda: model.batch_loss(batch)) < B * m * 8
 
 
 def test_pretrained_table_remains_trainable():
