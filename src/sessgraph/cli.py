@@ -17,7 +17,8 @@ it builds the evaluation prefixes once and runs `eval.repeats` seeded runs of
 the configured task. kNN recommendation draws no random numbers, so its
 metrics are computed once per experiment and every repeat reports them.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 data error or shape error, 4 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from . import __version__, bgrl, evalkit, knnrec, nextitem
 from .cograph import build_cograph, load_graph_binary, save_graph_binary, save_graph_text
 from .config import config_hash, load_config, resolve_config, set_by_path
 from .diffcore import save_tensors
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .sessiondata import (
     CorpusSplit,
     DelimitedFormat,
@@ -490,6 +490,8 @@ def run_grid(cfg: dict, out: Path, workers: int = 1) -> list[tuple[dict, float]]
     tasks = [(cfg, str(out), assignment) for assignment in points]
     workers = min(workers, len(points))
     if workers > 1:
+        # imported here: multiprocessing costs every other command its import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_eval_grid_point, tasks))
     else:
@@ -579,6 +581,9 @@ def main(argv=None) -> int:
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except ShapeError as exc:
+        print(f"shape error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

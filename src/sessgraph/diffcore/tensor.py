@@ -135,12 +135,19 @@ def _finite_or_raise(op: str, out: np.ndarray):
         raise NumericError(f"{op} produced a non-finite value")
 
 
-def _record(out: Tensor, inputs, backward_fn):
-    """Register the adjoint of one primitive if a tape is active."""
+def _recording(inputs) -> Tape | None:
+    """The tape that an op over `inputs` will be recorded on: the active
+    tape if one is active and some input requires a gradient, else None."""
     tape = active_tape()
+    if tape is None or not any(t.requires_grad for t in inputs):
+        return None
+    return tape
+
+
+def _record(out: Tensor, inputs, backward_fn):
+    """Register the adjoint of one primitive if it will be recorded."""
+    tape = _recording(inputs)
     if tape is None:
-        return
-    if not any(t.requires_grad for t in inputs):
         return
     out.requires_grad = True
 
@@ -555,9 +562,12 @@ def tied_softmax_xent(h: Tensor, table: Tensor, targets) -> Tensor:
     """Mean softmax cross-entropy of the (B, m) logits h @ table^T against B
     target indices, without keeping the logits.
 
-    The tape keeps the row maxima and the row sums of exp(z - max), two (B,)
-    vectors. The adjoint recomputes z with the same gemm and turns it into
-    the softmax in place, so at most one (B, m) array is live at a time, and
+    The logits are formed once. When the op will be recorded, the forward
+    turns their exp'd block into the softmax gradient in place and forms
+    both input gradients from it, so at most one (B, m) array is live at a
+    time, the tape keeps one (B, d) and one (m, d) array, and the adjoint
+    only scales them by the upstream gradient. Without a tape no gradient is
+    formed. Under the unit upstream gradient that backward gives a loss,
     loss and gradients equal those of
     cross_entropy_with_logits(matmul(h, transpose(table)), targets) bit for bit.
     """
@@ -569,14 +579,10 @@ def tied_softmax_xent(h: Tensor, table: Tensor, targets) -> Tensor:
     if tgt.size and (tgt.min() < 0 or tgt.max() >= table.shape[0]):
         raise ShapeError("tied_softmax_xent", table.shape, (int(tgt.max()),))
     batch = h.shape[0]
-
-    def logits():
-        """(h @ table^T, table^T) through the C-ordered copy of table^T that
-        transpose(table) makes, so the gemms are those of matmul."""
-        table_t = table.data.T.copy()
-        return h.data @ table_t, table_t
-
-    z, _ = logits()
+    # the C-ordered copy of table^T that transpose(table) makes, so the
+    # gemms are those of matmul
+    table_t = table.data.T.copy()
+    z = h.data @ table_t
     _finite_or_raise("tied_softmax_xent", z)
     target_logits = z[np.arange(batch), tgt]
     zmax = z.max(axis=1, keepdims=True)
@@ -586,18 +592,21 @@ def tied_softmax_xent(h: Tensor, table: Tensor, targets) -> Tensor:
     ce = np.log(sums) + zmax[:, 0] - target_logits
     out = Tensor(np.asarray(ce.mean()))
     _finite_or_raise("tied_softmax_xent", out.data)
+    if _recording((h, table)) is None:
+        return out
+
+    # z becomes the softmax gradient in place
+    z /= sums[:, None]
+    z[np.arange(batch), tgt] -= 1.0
+    z *= 1.0 / batch
+    gh = z @ table_t.T if h.requires_grad else None
+    gt = (h.data.T @ z).T if table.requires_grad else None
 
     def _bw(g):
-        p, table_t = logits()
-        p -= zmax
-        np.exp(p, out=p)
-        p /= sums[:, None]
-        p[np.arange(batch), tgt] -= 1.0
-        p *= float(g) / batch
-        if h.requires_grad:
-            h._accumulate(p @ table_t.T, owned=True)
-        if table.requires_grad:
-            table._accumulate((h.data.T @ p).T)
+        if gh is not None:
+            h._accumulate(gh * float(g), owned=True)
+        if gt is not None:
+            table._accumulate(gt * float(g))
 
     _record(out, (h, table), _bw)
     return out

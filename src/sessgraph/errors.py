@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-NumericError -> 4.
+ShapeError -> 3, NumericError -> 4.
 """
 
 

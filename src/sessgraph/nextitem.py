@@ -3,13 +3,15 @@
 The model is deliberately minimal: a session prefix is mean-pooled over its
 item embedding rows, items are scored against the same (tied) table, and
 training minimizes full-catalog softmax cross-entropy with Adam. The loss
-is `diffcore.tied_softmax_xent`, which recomputes the (B, m) logits in the
-backward pass rather than keeping them on the tape. Training and ranking
-share one pooling, `NextItemModel.pooled`, and ranking scores a prefix set
-in blocks of at most one training batch, one block at a time, so it never
-holds more scores than a training step forms at once. The point under test is
-the initialization contract: the table starts either from a scaled-uniform
-draw or as an exact copy of graph-pretrained embeddings.
+is `diffcore.tied_softmax_xent`, which forms the (B, m) logits once and,
+while they are live, turns them into the gradients of the pooled prefixes
+and of the table, so the tape keeps those two gradients and no logits.
+Training and ranking share one pooling, `NextItemModel.pooled`, and ranking
+scores a prefix set in blocks of at most one training batch, one block at a
+time, so it never holds more scores than a training step forms at once.
+The point under test is the initialization contract: the table starts
+either from a scaled-uniform draw or as an exact copy of graph-pretrained
+embeddings.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """End-to-end CLI stage tests on a small synthetic corpus: artifacts,
 manifests, determinism, stage independence, exit codes."""
 
+import concurrent.futures
 import json
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from sessgraph import cli, evalkit, nextitem
 from sessgraph.cograph import CoGraph
 from sessgraph.config import DEFAULTS, config_hash, load_config, resolve_config
-from sessgraph.errors import ConfigError, DataError
+from sessgraph.errors import ConfigError, DataError, ShapeError
 from sessgraph.sessiondata import corpus_prefixes
 
 from corpusgen import clustered_interactions, clustered_schema, write_log
@@ -240,6 +243,30 @@ def test_t_test_that_does_not_converge_exit_code(workdir, monkeypatch, capsys):
     assert cli.main(["compare", "--config", str(cfg_path), "--config-b", str(cfg_b),
                      "--out", str(out)]) == 4
     assert "incomplete beta did not converge" in capsys.readouterr().err
+
+
+def test_shape_error_exit_code(tmp_path, monkeypatch, capsys):
+    """A ShapeError from a stage is reported in one line with exit 3, not
+    as a traceback."""
+    def mismatched(cfg, out):
+        raise ShapeError("matmul", (2, 3), (4, 5))
+
+    monkeypatch.setattr(cli, "run_build_graph", mismatched)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text("{}", encoding="utf-8")
+    assert cli.main(["build-graph", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "shape error: matmul: incompatible shapes (2, 3), (4, 5)\n"
+
+
+def test_importing_the_cli_leaves_out_multiprocessing():
+    """Only grid with more than one worker needs a process pool, so a fresh
+    interpreter that imports the CLI has not imported multiprocessing."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, sessgraph.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_config_file_not_json_exit_code(tmp_path):
@@ -608,7 +635,7 @@ def test_grid_starts_at_most_one_worker_per_point(tmp_path, monkeypatch, workers
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "_eval_grid_point", lambda task: (task[2], 0.5))
     cfg = resolve_config({"grid": {"parameters": {"knn.k": [5, 10, 20]}}})
     assert len(cli.run_grid(cfg, tmp_path, workers=workers)) == 3

@@ -551,6 +551,43 @@ def test_tied_softmax_xent_equals_composed_path_bitwise(case):
     assert fused == composed
 
 
+def test_tied_softmax_xent_upstream_gradient_scales_the_leaf_gradients():
+    """An upstream gradient other than 1 reaches both leaves: the scaled loss
+    passes the finite-difference check, and its gradients are 3 times the
+    unscaled ones."""
+    rng = np.random.default_rng(225)
+    h, table = _rand(rng, 5, 3), _rand(rng, 7, 3)
+    targets = rng.integers(0, 7, size=5)
+    check_gradients(lambda: dc.scale(dc.tied_softmax_xent(h, table, targets), 3.0),
+                    [h, table])
+    scaled = [h.grad.copy(), table.grad.copy()]
+    for leaf in (h, table):
+        leaf.zero_grad()
+    with dc.Tape() as tape:
+        loss = dc.tied_softmax_xent(h, table, targets)
+    dc.backward(tape, loss)
+    np.testing.assert_allclose(scaled[0], 3.0 * h.grad, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(scaled[1], 3.0 * table.grad, rtol=1e-14, atol=0)
+
+
+def test_tied_softmax_xent_backward_forms_no_logit_block():
+    """The backward over a tied_softmax_xent tape peaks below one (B, m)
+    float64 array: the forward formed the gradients while its logits were
+    live, and the adjoint does not form them again."""
+    rng = np.random.default_rng(226)
+    B, m, d = 256, 2000, 16
+    h, table = _rand(rng, B, d), _rand(rng, m, d)
+    with dc.Tape() as tape:
+        loss = dc.tied_softmax_xent(h, table, rng.integers(0, m, size=B))
+    tracemalloc.start()
+    try:
+        dc.backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < B * m * 8
+
+
 def test_fused_primitives_raise_where_the_composed_path_raised():
     rng = np.random.default_rng(230)
     a, b, v, att, values = (_rand(rng, 7, 5), _rand(rng, 9, 5), _rand(rng, 1, 5),

@@ -179,7 +179,8 @@ def test_ranking_peak_memory_is_at_most_one_training_step():
 
 def test_batch_loss_tape_holds_less_than_one_logit_block():
     """After a batch_loss forward at (B, m) the tape keeps less than one
-    (B, m) float64 array: the backward recomputes the logits."""
+    (B, m) float64 array: it keeps the (B, d) and (m, d) gradients that the
+    forward formed from the logits, not the logits."""
     rng = np.random.default_rng(13)
     m, d, B = 2000, 16, 256
     model = ni.NextItemModel(ni.init_table(ni.SCALED_UNIFORM, m, d, rng=rng))
