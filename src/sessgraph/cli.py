@@ -27,7 +27,6 @@ import argparse
 import hashlib
 import json
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +37,11 @@ from .config import config_hash, load_config, resolve_config, set_by_path
 from .diffcore import save_tensors
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .sessiondata import (
+    WHITESPACE,
     CorpusSplit,
     DelimitedFormat,
     FeatureSchema,
     ItemCatalog,
-    Session,
     SessionCorpus,
     collect_feature_rows,
     corpus_prefixes,
@@ -118,33 +117,40 @@ def _schema_from_config(cfg: dict) -> FeatureSchema:
 # ---------------------------------------------------------------------------
 
 def save_corpus(path: Path, corpus: SessionCorpus):
+    if WHITESPACE.search("".join(corpus.ids)):
+        sid = next(s for s in corpus.ids if WHITESPACE.search(s))
+        raise DataError(f"session id {sid!r} contains whitespace")
+    items, bounds = list(map(str, corpus.items.tolist())), corpus.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for s in corpus.sessions:
-            if any(ch.isspace() for ch in s.session_id):
-                raise DataError(f"session id {s.session_id!r} contains whitespace")
-            items = " ".join(str(i) for i in s.items)
-            fh.write(f"{s.session_id} {items} {s.start_ts}\n")
+        fh.writelines(f"{sid} {' '.join(items[lo:hi])} {ts}\n" for sid, lo, hi, ts
+                      in zip(corpus.ids, bounds, bounds[1:], corpus.start_ts.tolist()))
 
 
 def load_corpus(path: Path) -> SessionCorpus:
-    sessions = []
+    ids, lengths, items, stamps = [], [], [], []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         parts = line.split()
         if len(parts) < 3:
             raise DataError(f"{path}:{lineno}: corpus line needs id, items, timestamp: {line!r}")
         try:
-            items, start_ts = tuple(map(int, parts[1:-1])), int(parts[-1])
+            numbers = [*map(int, parts[1:])]
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-integer item or timestamp in "
                             f"{line!r}") from None
-        sessions.append(Session(parts[0], items, start_ts))
+        ids.append(parts[0])
+        lengths.append(len(numbers) - 1)
+        items += numbers[:-1]
+        stamps.append(numbers[-1])
+    indptr = np.zeros(len(ids) + 1, np.int64)
+    np.cumsum(lengths, out=indptr[1:])
     # stages turn items and timestamps into int64 arrays (load_split, knnrec.index_sessions)
-    numbers = [*chain.from_iterable(s.items for s in sessions), *(s.start_ts for s in sessions)]
-    if numbers and not _fits_int64(numbers):
-        lineno = next(i for i, s in enumerate(sessions, start=1)
-                      if not _fits_int64((*s.items, s.start_ts)))
+    if ids and not _fits_int64([*items, *stamps]):
+        bounds = indptr.tolist()
+        lineno = next(j + 1 for j, ts in enumerate(stamps)
+                      if not _fits_int64([*items[bounds[j]:bounds[j + 1]], ts]))
         raise DataError(f"{path}:{lineno}: item or timestamp outside int64")
-    return SessionCorpus(sessions)
+    return SessionCorpus.from_columns(ids, np.array(stamps, np.int64), indptr,
+                                      np.array(items, np.int64))
 
 
 def _fits_int64(numbers) -> bool:
@@ -157,8 +163,7 @@ def save_catalog(out: Path, catalog: ItemCatalog, X: np.ndarray):
         for i, ext in enumerate(catalog.external_ids):
             fh.write(f"{i} {ext}\n")
     with open(out / CATALOG_FEATURES, "w", encoding="utf-8") as fh:
-        for row in X:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in X.tolist())
 
 
 def _catalog_ids(out: Path) -> list[str]:
@@ -200,12 +205,10 @@ def load_split(out: Path, ids: list[str] | None = None) -> CorpusSplit:
     corpora = {}
     for name, filename in SESSIONS_FILES.items():
         corpus = corpora[name] = load_corpus(out / filename)
-        items = np.fromiter(chain.from_iterable(s.items for s in corpus.sessions), np.int64)
-        outside = (items < 0) | (items >= m)
-        if outside.any():
-            lineno = next(i for i, s in enumerate(corpus.sessions, start=1)
-                          if not all(0 <= x < m for x in s.items))
-            raise DataError(f"{out / filename}:{lineno}: item {items[outside][0]} "
+        outside = np.flatnonzero((corpus.items < 0) | (corpus.items >= m))
+        if outside.size:
+            lineno = int(np.searchsorted(corpus.indptr, outside[0], side="right"))
+            raise DataError(f"{out / filename}:{lineno}: item {corpus.items[outside[0]]} "
                             f"outside the catalog of {m} items")
     return CorpusSplit(**corpora)
 
@@ -220,14 +223,15 @@ def run_preprocess(cfg: dict, out: Path) -> dict:
     source = _require(Path(ds["path"]))
     schema = _schema_from_config(cfg)
     with open(source, "rb") as fh:
-        interactions = load_interactions(fh, schema, DelimitedFormat(ds["delimiter"]))
-    raw = sessionize(interactions, ds["session_gap_seconds"])
+        log = load_interactions(fh, schema, DelimitedFormat(ds["delimiter"]))
+    raw = sessionize(log, ds["session_gap_seconds"])
     pp = cfg["preprocess"]
-    corpus, catalog0 = filter_corpus(raw, pp["min_item_support"], pp["min_session_len"])
+    rounds: list[list[int]] = []
+    corpus, catalog0 = filter_corpus(raw, pp["min_item_support"], pp["min_session_len"],
+                                     rounds)
     split0 = temporal_split(corpus, tuple(pp["fractions"]))
     split, catalog = restrict_split_to_train(split0, catalog0)
-    rows = collect_feature_rows(interactions)
-    X, columns = encode_features(rows, schema, catalog)
+    X, columns = encode_features(collect_feature_rows(log), schema, catalog)
 
     outputs = []
     for name, corpus_part in (("train", split.train), ("validation", split.validation),
@@ -239,6 +243,9 @@ def run_preprocess(cfg: dict, out: Path) -> dict:
     outputs += [out / CATALOG_IDS, out / CATALOG_FEATURES]
     _echo_config(out, cfg)
     params = {
+        "interactions": len(log),
+        "gap_splits": len(raw) - len(log.session_ids),
+        "filter_rounds": rounds,
         "min_item_support": pp["min_item_support"],
         "min_session_len": pp["min_session_len"],
         "max_prefix_len": pp["max_prefix_len"],

@@ -95,14 +95,13 @@ class CoGraph:
 def build_cograph(train: SessionCorpus, catalog: ItemCatalog,
                   X: np.ndarray | None = None) -> CoGraph:
     """Count session-level co-occurrences and normalize by the max count."""
-    if not train.sessions:
+    if not len(train):
         raise DataError("cannot build a graph from an empty corpus")
     n = len(catalog)
-    items = np.array([x for s in train.sessions for x in s.items], dtype=np.int64)
-    session = np.repeat(np.arange(len(train.sessions)), [len(s.items) for s in train.sessions])
+    items, session = train.items, train.owner()
     outside = (items < 0) | (items >= n)
     if outside.any():
-        sid = train.sessions[session[outside][0]].session_id
+        sid = train.ids[session[outside][0]]
         raise DataError(f"session {sid} references items outside the catalog")
     # distinct items of each session, sorted by (session, item)
     keys = np.unique(session * n + items)

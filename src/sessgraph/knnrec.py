@@ -37,7 +37,6 @@ bounded by its candidate pool, never a pass over all training sessions):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -162,17 +161,13 @@ def _csr_gather(indptr: np.ndarray, values: np.ndarray, rows: np.ndarray,
 def index_sessions(train: SessionCorpus) -> SessionIndex:
     """Recency ranks, CSR session items and newest-first postings of the
     training sessions."""
-    sessions = train.sessions
-    n = len(sessions)
+    n = len(train)
     if not n:
         raise DataError("cannot index an empty corpus")
-    lengths = np.fromiter((len(s.items) for s in sessions), np.int64, n)
-    flat = np.fromiter(chain.from_iterable(s.items for s in sessions), np.int64,
-                       int(lengths.sum()))
+    lengths, flat, start_ts = np.diff(train.indptr), train.items, train.start_ts
     if flat.size and flat.min() < 0:
         raise DataError(f"negative item id {flat.min()} in the indexed sessions")
-    start_ts = np.fromiter((s.start_ts for s in sessions), np.int64, n)
-    _, id_code = np.unique(np.array([s.session_id for s in sessions]), return_inverse=True)
+    _, id_code = np.unique(np.array(train.ids), return_inverse=True)
     # ~t = -t - 1 orders newest first like -t but cannot wrap at -2**63;
     # stable, so full ties keep position order
     order = np.lexsort((-id_code, ~start_ts))

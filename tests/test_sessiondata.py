@@ -1,8 +1,13 @@
 """Corpus preparation tests, with independent brute-force oracles for
 sessionization, fixpoint filtering, and prefix expansion."""
 
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessgraph import sessiondata as sd
 from sessgraph.errors import DataError, EmptyCorpusError, RowError, SchemaError, SplitError
@@ -18,6 +23,29 @@ def _raw(sid, items, start=0):
     return sd.RawSession(sid, tuple(items), start)
 
 
+def _rows(log):
+    """The (session_id, item_id, timestamp) of each row of an InteractionLog."""
+    return [(log.session_ids[s], log.item_ids[i], t)
+            for s, i, t in zip(log.session.tolist(), log.item.tolist(), log.timestamp.tolist())]
+
+
+def _runs(raw):
+    """sessionize's runs as RawSession records."""
+    return [sd.RawSession(s.session_id, tuple(raw.item_ids[i] for i in s.items), s.start_ts)
+            for s in raw.corpus.sessions]
+
+
+def brute_force_feature_rows(interactions):
+    """Oracle: per item, the feature values of the earliest interaction, the
+    first one among equal timestamps."""
+    best = {}
+    for pos, it in enumerate(interactions):
+        key = (it.timestamp, pos)
+        if it.item_id not in best or key < best[it.item_id][0]:
+            best[it.item_id] = (key, it.feature_values)
+    return {item: vals for item, (_, vals) in best.items()}
+
+
 # ---------------------------------------------------------------------------
 # load_interactions
 # ---------------------------------------------------------------------------
@@ -26,7 +54,8 @@ def test_load_three_valid_rows():
     text = _csv(["s1,a,10,books,3.5", "s1,b,20,music,1.0", "s2,a,30,books,3.5"])
     out = sd.load_interactions(text, SCHEMA)
     assert len(out) == 3
-    assert out[0] == sd.Interaction("s1", "a", 10, ("books", "3.5"))
+    assert _rows(out) == [("s1", "a", 10), ("s1", "b", 20), ("s2", "a", 30)]
+    assert sd.collect_feature_rows(out) == {"a": ("books", "3.5"), "b": ("music", "1.0")}
 
 
 def test_load_rejects_empty_item_id():
@@ -66,7 +95,7 @@ def test_load_rejects_bad_header():
 def test_load_accepts_bytes_and_tab_delimiter():
     text = "session_id\titem_id\ttimestamp\tcategory\tprice\ns1\ta\t10\tbooks\t2\n"
     out = sd.load_interactions(text.encode(), SCHEMA, sd.DelimitedFormat("\t"))
-    assert out[0].item_id == "a"
+    assert _rows(out) == [("s1", "a", 10)]
 
 
 def test_write_then_load_roundtrip_10k_rows():
@@ -82,7 +111,8 @@ def test_write_then_load_roundtrip_10k_rows():
     ]
     text = sd.write_interactions(interactions, SCHEMA)
     loaded = sd.load_interactions(text, SCHEMA)
-    assert loaded == interactions
+    assert _rows(loaded) == [(it.session_id, it.item_id, it.timestamp) for it in interactions]
+    assert sd.collect_feature_rows(loaded) == brute_force_feature_rows(interactions)
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +122,13 @@ def test_write_then_load_roundtrip_10k_rows():
 def test_sessionize_splits_on_gap():
     inter = [sd.Interaction("u", "a", 0, ()), sd.Interaction("u", "b", 100, ()),
              sd.Interaction("u", "c", 2000, ())]
-    out = sd.sessionize(inter, gap_seconds=1800)
+    out = _runs(sd.sessionize(inter, gap_seconds=1800))
     assert [s.items for s in out] == [("a", "b"), ("c",)]
     assert [s.start_ts for s in out] == [0, 2000]
 
 
 def test_sessionize_single_interaction():
-    out = sd.sessionize([sd.Interaction("u", "a", 5, ())])
+    out = _runs(sd.sessionize([sd.Interaction("u", "a", 5, ())]))
     assert len(out) == 1 and out[0].items == ("a",)
 
 
@@ -109,7 +139,7 @@ def test_sessionize_rejects_split_name_taken_by_another_session():
         sd.sessionize(inter, gap_seconds=1800)
     # a session named like a split run is fine while its own runs are renamed
     inter.append(sd.Interaction("a#1", "w", 9000, ()))
-    assert [s.session_id for s in sd.sessionize(inter, gap_seconds=1800)] == [
+    assert sd.sessionize(inter, gap_seconds=1800).corpus.ids == [
         "a#0", "a#1", "a#1#0", "a#1#1"]
 
 
@@ -152,7 +182,7 @@ def test_sessionize_matches_brute_force_on_random_stream():
                        int(rng.integers(0, 5000)), ())
         for _ in range(500)
     ]
-    assert sd.sessionize(interactions, 300) == brute_force_sessionize(interactions, 300)
+    assert _runs(sd.sessionize(interactions, 300)) == brute_force_sessionize(interactions, 300)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +268,51 @@ def test_filter_is_idempotent():
     corpus2, catalog2 = sd.filter_corpus(reraw)
     assert catalog2.external_ids == catalog.external_ids
     assert [s.items for s in corpus2.sessions] == [s.items for s in corpus.sessions]
+
+
+# ---------------------------------------------------------------------------
+# sessionize and filter_corpus against the oracles on drawn logs
+# ---------------------------------------------------------------------------
+
+# ids that collide after gap splitting ("a" -> "a#1"), order differently in
+# str and numpy str order ("s" and "s\0"), or are not ASCII
+DRAWN_SESSION_IDS = ["a", "a#1", "a#0", "b", "s", "s\x00", "é"]
+DRAWN_ITEM_IDS = ["x", "y", "z", "i", "i\x00", "é", "日本"]
+
+
+@settings(max_examples=300)
+@given(rows=st.lists(st.tuples(st.sampled_from(DRAWN_SESSION_IDS),
+                               st.sampled_from(DRAWN_ITEM_IDS), st.integers(0, 40)),
+                     max_size=40),
+       gap=st.one_of(st.none(), st.integers(1, 12)))
+def test_sessionize_matches_brute_force_on_drawn_logs(rows, gap):
+    interactions = [sd.Interaction(sid, item, ts, ()) for sid, item, ts in rows]
+    expected = brute_force_sessionize(interactions, math.inf if gap is None else gap)
+    names = [s.session_id for s in expected]
+    taken = [name for k, name in enumerate(names) if name in names[:k]]
+    if taken:
+        # the run whose name an earlier run already holds
+        with pytest.raises(DataError, match=re.escape(repr(taken[0]))):
+            sd.sessionize(interactions, gap)
+    else:
+        assert _runs(sd.sessionize(interactions, gap)) == expected
+
+
+@settings(max_examples=300)
+@given(item_lists=st.lists(st.lists(st.sampled_from(DRAWN_ITEM_IDS), min_size=1, max_size=6),
+                           min_size=1, max_size=25),
+       min_support=st.integers(1, 4), min_len=st.integers(1, 3))
+def test_filter_matches_brute_force_on_drawn_sessions(item_lists, min_support, min_len):
+    sessions = [_raw(f"s{k}", items, k) for k, items in enumerate(item_lists)]
+    oracle = brute_force_filter(sessions, min_support, min_len)
+    if not oracle:
+        with pytest.raises(EmptyCorpusError):
+            sd.filter_corpus(sessions, min_support, min_len)
+        return
+    corpus, catalog = sd.filter_corpus(sessions, min_support, min_len)
+    assert catalog.external_ids == sorted({item for _, items in oracle for item in items})
+    assert [(s.session_id, tuple(catalog.external_ids[i] for i in s.items))
+            for s in corpus.sessions] == oracle
 
 
 # ---------------------------------------------------------------------------
