@@ -43,6 +43,7 @@ from .sessiondata import (
     FeatureSchema,
     ItemCatalog,
     SessionCorpus,
+    _offsets,
     collect_feature_rows,
     corpus_prefixes,
     encode_features,
@@ -141,8 +142,7 @@ def load_corpus(path: Path) -> SessionCorpus:
         lengths.append(len(numbers) - 1)
         items += numbers[:-1]
         stamps.append(numbers[-1])
-    indptr = np.zeros(len(ids) + 1, np.int64)
-    np.cumsum(lengths, out=indptr[1:])
+    indptr = _offsets(lengths)
     # stages turn items and timestamps into int64 arrays (load_split, knnrec.index_sessions)
     if ids and not _fits_int64([*items, *stamps]):
         bounds = indptr.tolist()
@@ -339,10 +339,10 @@ def _experiment(cfg: dict, out: Path, task: str, corpus_name: str = "test"
     """The metric report of `task` ("knn" or "nextitem") on the prefixes of
     one corpus over `eval.repeats` runs, plus the next-item epoch log lines.
     Every evaluating command (eval-knn, train-next, compare, grid) runs this.
-    The prefixes are built once; each next-item run ranks them all through
-    `NextItemModel.ranks`, in blocks of `nextitem.batch_size`. On the
-    validation corpus it reports the ranks of `train_next`'s last epoch,
-    which ranks those same prefixes."""
+    The prefixes are built once, as one `FlatPrefixes`, and each next-item run
+    ranks them all through `NextItemModel.ranks`, in blocks of
+    `nextitem.batch_size`. On the validation corpus they are `train_next`'s
+    validation set too, and the report takes the ranks of its last epoch."""
     ids = _catalog_ids(out)
     split = load_split(out, ids)
     embeddings = _load_embeddings(cfg, out, task, ids)
@@ -363,16 +363,17 @@ def _experiment(cfg: dict, out: Path, task: str, corpus_name: str = "test"
             # the same vectors.
             if not metrics:
                 index = knnrec.index_sessions(split.train)
-                ranked = [knnrec.recommend(p.prefix, index, knn_cfg, embeddings)
-                          for p in prefixes]
-                metrics.append(evalkit.query_metrics(ranked, [p.target for p in prefixes], ks))
+                items, bounds = prefixes.items.tolist(), prefixes.indptr.tolist()
+                ranked = [knnrec.recommend(items[lo:hi], index, knn_cfg, embeddings)
+                          for lo, hi in zip(bounds, bounds[1:])]
+                metrics.append(evalkit.query_metrics(ranked, prefixes.targets.tolist(), ks))
             return metrics[0]
     else:
         train_prefixes = corpus_prefixes(split.train, cap)
         if not train_prefixes:
             raise DataError("no train prefixes to train on")
-        val_prefixes = corpus_prefixes(split.validation, cap)
-        eval_batch = None if corpus_name == "validation" else nextitem.FlatPrefixes.of(prefixes)
+        on_validation = corpus_name == "validation"
+        val_prefixes = prefixes if on_validation else corpus_prefixes(split.validation, cap)
         ni = cfg["nextitem"]
 
         def pipeline(seed):
@@ -388,8 +389,8 @@ def _experiment(cfg: dict, out: Path, task: str, corpus_name: str = "test"
                 nextitem.NextTrainConfig(epochs=ni["epochs"], lr=ni["lr"],
                                          batch_size=ni["batch_size"], seed=seed))
             logs.extend(f"seed={seed}\t{rec.as_line()}" for rec in result.records)
-            ranks = (result.val_ranks if eval_batch is None
-                     else model.ranks(eval_batch, ni["batch_size"]))
+            ranks = (result.val_ranks if on_validation
+                     else model.ranks(prefixes, ni["batch_size"]))
             return evalkit.rank_metrics(ranks, ks)
 
     report = evalkit.run_experiment(pipeline, cfg["eval"]["repeats"],

@@ -42,7 +42,7 @@ import numpy as np
 
 from .config import CHOICES, DEFAULTS
 from .errors import ConfigError, DataError
-from .sessiondata import SessionCorpus
+from .sessiondata import SessionCorpus, _offsets, str_codes
 
 _KNN = DEFAULTS["knn"]
 _GCNEXT = _KNN["gcnext"]
@@ -167,10 +167,9 @@ def index_sessions(train: SessionCorpus) -> SessionIndex:
     lengths, flat, start_ts = np.diff(train.indptr), train.items, train.start_ts
     if flat.size and flat.min() < 0:
         raise DataError(f"negative item id {flat.min()} in the indexed sessions")
-    _, id_code = np.unique(np.array(train.ids), return_inverse=True)
     # ~t = -t - 1 orders newest first like -t but cannot wrap at -2**63;
     # stable, so full ties keep position order
-    order = np.lexsort((-id_code, ~start_ts))
+    order = np.lexsort((-str_codes(train.ids), ~start_ts))
     rank = np.empty(n, np.int64)
     rank[order] = np.arange(n)
 
@@ -180,14 +179,12 @@ def index_sessions(train: SessionCorpus) -> SessionIndex:
     keep = np.ones(flat.size, bool)
     keep[1:] = (pos[1:] != pos[:-1]) | (flat[1:] != flat[:-1])
     pos, items = pos[keep], flat[keep]
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(pos, minlength=n), out=indptr[1:])
+    indptr = _offsets(np.bincount(pos, minlength=n))
 
     n_items = int(items.max()) + 1 if items.size else 0
     by = np.lexsort((rank[pos], items))
-    post_indptr = np.zeros(n_items + 1, np.int64)
-    np.cumsum(np.bincount(items, minlength=n_items), out=post_indptr[1:])
-    return SessionIndex(order, rank, indptr, items, post_indptr, rank[pos][by])
+    return SessionIndex(order, rank, indptr, items,
+                        _offsets(np.bincount(items, minlength=n_items)), rank[pos][by])
 
 
 @dataclass

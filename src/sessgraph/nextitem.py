@@ -2,7 +2,9 @@
 
 The model is deliberately minimal: a session prefix is mean-pooled over its
 item embedding rows, items are scored against the same (tied) table, and
-training minimizes full-catalog softmax cross-entropy with Adam. The loss
+training minimizes full-catalog softmax cross-entropy with Adam. Training,
+validation and ranking read prefix samples as `sessiondata.FlatPrefixes`,
+the CSR form `corpus_prefixes` builds from a corpus's columns. The loss
 is `diffcore.tied_softmax_xent`, which forms the (B, m) logits once and,
 while they are live, turns them into the gradients of the pooled prefixes
 and of the table, so the tape keeps those two gradients and no logits.
@@ -16,7 +18,6 @@ embeddings.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from . import diffcore as dc
 from .config import DEFAULTS
 from .errors import NumericError, ShapeError
 from .evalkit import rank_metrics
-from .sessiondata import PrefixSample
+from .sessiondata import FlatPrefixes
 
 SCALED_UNIFORM = "scaled-uniform"
 PRETRAINED = "pretrained"
@@ -53,40 +54,6 @@ def init_table(mode: str, m: int, d: int, rng: np.random.Generator | None = None
             raise ShapeError("init_table", source.shape, (m, d))
         return dc.Tensor(source.copy(), requires_grad=True)
     raise ValueError(f"unknown init mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class FlatPrefixes:
-    """Prefix samples as flat arrays: sample i predicts targets[i] from
-    items[indptr[i]:indptr[i + 1]]."""
-
-    indptr: np.ndarray
-    items: np.ndarray
-    targets: np.ndarray
-
-    @classmethod
-    def of(cls, prefixes: list[PrefixSample]) -> FlatPrefixes:
-        lengths = np.fromiter((len(p.prefix) for p in prefixes), dtype=np.int64,
-                              count=len(prefixes))
-        indptr = np.zeros(len(prefixes) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        items = np.fromiter(itertools.chain.from_iterable(p.prefix for p in prefixes),
-                            dtype=np.int64, count=int(indptr[-1]))
-        targets = np.fromiter((p.target for p in prefixes), dtype=np.int64,
-                              count=len(prefixes))
-        return cls(indptr, items, targets)
-
-    def __len__(self):
-        return len(self.targets)
-
-    def take(self, rows: np.ndarray) -> FlatPrefixes:
-        """The samples at positions `rows`, in that order."""
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        flat = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-        return FlatPrefixes(indptr, self.items[flat], self.targets[rows])
 
 
 class NextItemModel:
@@ -174,21 +141,18 @@ class NextTrainResult:
         return [r.val_hr for r in self.records]
 
 
-def train_next(model: NextItemModel, train_prefixes: list[PrefixSample],
-               val_prefixes: list[PrefixSample],
+def train_next(model: NextItemModel, train: FlatPrefixes, val: FlatPrefixes,
                config: NextTrainConfig) -> NextTrainResult:
     """Minibatch Adam on cross-entropy; records validation HR/MRR per epoch."""
     rng = np.random.default_rng(config.seed)
     opt = dc.OptimizerState([model.table], lr=config.lr)
-    flat = FlatPrefixes.of(train_prefixes)
-    val = FlatPrefixes.of(val_prefixes)
     records, val_ranks = [], None
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
-        order = rng.permutation(len(train_prefixes))
+        order = rng.permutation(len(train))
         losses = []
         for lo in range(0, len(order), config.batch_size):
-            batch = flat.take(order[lo:lo + config.batch_size])
+            batch = train.take(order[lo:lo + config.batch_size])
             try:
                 with dc.Tape() as tape:
                     loss = model.batch_loss(batch)

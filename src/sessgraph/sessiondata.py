@@ -1,7 +1,7 @@
 """Interaction-log ingestion and corpus preparation.
 
 Pipeline: load_interactions -> sessionize -> filter_corpus -> temporal_split
--> restrict_split_to_train -> encode_features / generate_prefixes. All
+-> restrict_split_to_train -> encode_features / corpus_prefixes. All
 functions are pure over their inputs and deterministic.
 
 The log and the corpora travel as columns, not as one object per row:
@@ -13,10 +13,12 @@ The log and the corpora travel as columns, not as one object per row:
 - filter_corpus runs the support/length fixpoint with bincounts over masks
   of the surviving entries;
 - temporal_split and restrict_split_to_train select and remap the columns
-  of a SessionCorpus: ids, start times, and items in CSR form.
-Hand-made inputs may still be records (Interaction, RawSession, Session):
-each columnar type's from_records or constructor is the one adapter that
-turns them into columns, and the stages call it at their boundary.
+  of a SessionCorpus: ids, start times, and items in CSR form;
+- corpus_prefixes cuts a corpus's (prefix, next item) samples out of its
+  items as one FlatPrefixes, the form kNN evaluation and next-item training read.
+Hand-made inputs may still be records (Interaction, RawSession, Session,
+PrefixSample): each columnar type's from_records, of or constructor is the one
+adapter that turns them into columns, and the stages call it at their boundary.
 
 encode_features turns the catalog's raw feature rows into the graph's node
 feature matrix, one labelled column per categorical value and per numeric
@@ -189,9 +191,8 @@ class SessionCorpus:
 
     def take(self, rows: np.ndarray) -> "SessionCorpus":
         """The sessions at positions `rows`, in that order."""
-        lengths = np.diff(self.indptr)[rows]
-        indptr = _offsets(lengths)
-        entries = np.repeat(self.indptr[rows] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        starts = self.indptr[rows]
+        indptr, entries = _spans(starts, self.indptr[rows + 1] - starts)
         return SessionCorpus.from_columns([self.ids[j] for j in rows.tolist()],
                                           self.start_ts[rows], indptr, self.items[entries])
 
@@ -243,6 +244,32 @@ class PrefixSample:
 
 
 @dataclass(frozen=True)
+class FlatPrefixes:
+    """Prefix samples as flat arrays: sample i predicts targets[i] from
+    items[indptr[i]:indptr[i + 1]] (int64)."""
+
+    indptr: np.ndarray
+    items: np.ndarray
+    targets: np.ndarray
+
+    @classmethod
+    def of(cls, prefixes: list[PrefixSample]) -> "FlatPrefixes":
+        """The columns of PrefixSample records."""
+        items = [x for p in prefixes for x in p.prefix]
+        return cls(_offsets([len(p.prefix) for p in prefixes]), np.array(items, np.int64),
+                   np.array([p.target for p in prefixes], np.int64))
+
+    def __len__(self):
+        return len(self.targets)
+
+    def take(self, rows: np.ndarray) -> "FlatPrefixes":
+        """The samples at positions `rows`, in that order."""
+        starts = self.indptr[rows]
+        indptr, entries = _spans(starts, self.indptr[rows + 1] - starts)
+        return FlatPrefixes(indptr, self.items[entries], self.targets[rows])
+
+
+@dataclass(frozen=True)
 class DelimitedFormat:
     delimiter: str = ","
 
@@ -258,6 +285,19 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
     indptr = np.zeros(len(lengths) + 1, np.int64)
     np.cumsum(lengths, out=indptr[1:])
     return indptr
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, positions) of CSR rows, row r the lengths[r] positions from starts[r]."""
+    indptr = _offsets(lengths)
+    return indptr, np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+
+
+def str_codes(values: list[str]) -> np.ndarray:
+    """Each value's rank among the distinct values in str order (Python str:
+    numpy's str dtype drops trailing NULs)."""
+    code = {v: k for k, v in enumerate(sorted(set(values)))}
+    return np.fromiter(map(code.__getitem__, values), np.int64, len(values))
 
 
 def _encode(index: dict, values: list) -> np.ndarray:
@@ -523,10 +563,7 @@ def temporal_split(corpus: SessionCorpus,
         raise SplitError(f"need at least 3 sessions to split, got {n}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise SplitError(f"fractions must sum to 1, got {fractions}")
-    # a rank, not a numpy str array: numpy's str dtype drops trailing NULs
-    id_rank = np.empty(n, np.int64)
-    id_rank[sorted(range(n), key=corpus.ids.__getitem__)] = np.arange(n)
-    ordered = np.lexsort((id_rank, corpus.start_ts))
+    ordered = np.lexsort((str_codes(corpus.ids), corpus.start_ts))
     n_train = int(fractions[0] * n)
     n_val = int(fractions[1] * n)
     train = corpus.take(ordered[:n_train])
@@ -567,19 +604,20 @@ def generate_prefixes(session: Session, max_len: int = _PREPROCESS["max_prefix_l
     """Expand a session into (prefix, next item) pairs, keeping the most
     recent max_len items of each prefix."""
     items = session.items
-    out = []
-    for t in range(2, len(items) + 1):
-        lo = max(0, (t - 1) - max_len)
-        out.append(PrefixSample(tuple(items[lo:t - 1]), items[t - 1]))
-    return out
+    return [PrefixSample(tuple(items[max(0, g - max_len):g]), items[g])
+            for g in range(1, len(items))]
 
 
 def corpus_prefixes(corpus: SessionCorpus, max_len: int = _PREPROCESS["max_prefix_len"]
-                    ) -> list[PrefixSample]:
-    samples = []
-    for s in corpus.sessions:
-        samples.extend(generate_prefixes(s, max_len))
-    return samples
+                    ) -> FlatPrefixes:
+    """generate_prefixes of every session, in corpus order, as one
+    FlatPrefixes: each entry after the first of its session is a target,
+    and its prefix is the at most max_len entries before it in the session."""
+    start = corpus.indptr[corpus.owner()]
+    targets = np.flatnonzero(np.arange(len(start)) != start)
+    lo = np.maximum(start[targets], targets - max_len)
+    indptr, entries = _spans(lo, targets - lo)
+    return FlatPrefixes(indptr, corpus.items[entries], corpus.items[targets])
 
 
 def _parse_numeric(name: str, value) -> float:
@@ -614,11 +652,10 @@ def encode_features(raw_rows: dict[str, tuple], schema: FeatureSchema,
     for j, (name, kind) in enumerate(schema.features):
         if kind == CATEGORICAL:
             values = [str(row[j]) for row in rows]
-            # a dict, not np.unique: numpy's str dtype drops trailing NULs
-            code = {v: k for k, v in enumerate(sorted(set(values)))}
-            block = np.zeros((n, len(code)))
-            block[np.arange(n), [code[v] for v in values]] = 1.0
-            labels += [f"{name}={v}" for v in code]
+            distinct = sorted(set(values))
+            block = np.zeros((n, len(distinct)))
+            block[np.arange(n), str_codes(values)] = 1.0
+            labels += [f"{name}={v}" for v in distinct]
         else:
             vals = np.array([_parse_numeric(name, row[j]) for row in rows])
             mu, sd = float(vals.mean()), float(vals.std())

@@ -16,7 +16,7 @@ from sessgraph import cli, evalkit, nextitem
 from sessgraph.cograph import CoGraph
 from sessgraph.config import DEFAULTS, config_hash, load_config, resolve_config
 from sessgraph.errors import ConfigError, DataError, ShapeError
-from sessgraph.sessiondata import corpus_prefixes
+from sessgraph.sessiondata import corpus_prefixes, generate_prefixes
 
 from corpusgen import clustered_interactions, clustered_schema, write_log
 
@@ -326,8 +326,9 @@ def test_eval_knn_recommends_each_test_prefix_once(workdir, tmp_path, monkeypatc
 
     monkeypatch.setattr(cli.knnrec, "recommend", counting)
     report = cli.run_eval_knn(cfg, art)
-    prefixes = corpus_prefixes(cli.load_split(art).test, cfg["preprocess"]["max_prefix_len"])
-    assert served == [p.prefix for p in prefixes]
+    cap = cfg["preprocess"]["max_prefix_len"]
+    assert served == [p.prefix for s in cli.load_split(art).test.sessions
+                      for p in generate_prefixes(s, cap)]
     assert all(len(runs) == 3 for runs in report.runs.values())
 
 

@@ -143,3 +143,13 @@ def test_oldest_int64_timestamp_ranks_last():
     index = kr.index_sessions(_corpus([[0], [1], [2]], [10, -2**63, 20], ["a", "b", "c"]))
     assert index.order.tolist() == [2, 0, 1]
     assert index.rank.tolist() == [1, 2, 0]
+
+
+@pytest.mark.parametrize("ids", [["s\0", "s"], ["s", "s\0"]])
+def test_equal_start_times_order_by_id_with_trailing_nul(ids):
+    """Ties in start time put the larger id first in str order, as knnref
+    does, whatever the file order; numpy's str dtype would drop the NUL."""
+    corpus = _corpus([[0], [1]], [5, 5], ids)
+    index = kr.index_sessions(corpus)
+    assert [ids[p] for p in index.order.tolist()] == ["s\0", "s"]
+    assert index.order.tolist() == knnref.index_sessions(corpus).recency_order

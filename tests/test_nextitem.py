@@ -194,8 +194,8 @@ def test_pretrained_table_remains_trainable():
     rng = np.random.default_rng(7)
     src = rng.normal(size=(5, 3))
     model = ni.NextItemModel(ni.init_table(ni.PRETRAINED, 5, 3, source=src))
-    result = ni.train_next(model, [PrefixSample((0,), 1)], [],
-                           ni.NextTrainConfig(epochs=1, batch_size=1))
+    result = ni.train_next(model, ni.FlatPrefixes.of([PrefixSample((0,), 1)]),
+                           ni.FlatPrefixes.of([]), ni.NextTrainConfig(epochs=1, batch_size=1))
     assert not np.array_equal(result.model.table.data, src)
 
 
@@ -207,17 +207,18 @@ def test_memorizable_corpus_reaches_perfect_hr1():
     item above itself (its self-score bounds every cross-score).
     """
     rng = np.random.default_rng(8)
-    prefixes = [PrefixSample((0, 1), 2), PrefixSample((3, 4), 5), PrefixSample((1, 3), 0)]
+    prefixes = ni.FlatPrefixes.of(
+        [PrefixSample((0, 1), 2), PrefixSample((3, 4), 5), PrefixSample((1, 3), 0)])
     model = ni.NextItemModel(ni.init_table(ni.SCALED_UNIFORM, 6, 8, rng=rng))
     result = ni.train_next(model, prefixes, prefixes,
                            ni.NextTrainConfig(epochs=50, lr=0.05, batch_size=4))
     # HR@1 = 1.0: every target ranks first
-    assert result.model.ranks(ni.FlatPrefixes.of(prefixes), rows=2).tolist() == [1, 1, 1]
+    assert result.model.ranks(prefixes, rows=2).tolist() == [1, 1, 1]
 
 
 def test_training_determinism():
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-    prefixes = [PrefixSample((i % 4,), (i + 1) % 4) for i in range(12)]
+    prefixes = ni.FlatPrefixes.of([PrefixSample((i % 4,), (i + 1) % 4) for i in range(12)])
     m1 = ni.NextItemModel(ni.init_table(ni.SCALED_UNIFORM, 4, 6, rng=rng1))
     m2 = ni.NextItemModel(ni.init_table(ni.SCALED_UNIFORM, 4, 6, rng=rng2))
     cfg = ni.NextTrainConfig(epochs=3, batch_size=4, seed=5)

@@ -1,5 +1,7 @@
 """The preprocess stage end to end on one fixed log: pinned artifact bytes,
-the row of each RowError kind, and the counts in manifest_preprocess.json."""
+the row of each RowError kind, and the counts in manifest_preprocess.json.
+The same log continued through build-graph, train-embed, eval-knn and
+train-next pins the bytes of the two metric reports."""
 
 import hashlib
 import json
@@ -81,18 +83,22 @@ def _log_text():
     return "\r\n".join(lines) + "\r\n"
 
 
-def _preprocess(tmp_path, text):
-    log = tmp_path / "log.csv"
-    log.write_bytes(text.encode("utf-8"))
-    cfg = resolve_config({
+def _config(log, **sections):
+    return resolve_config({
         "dataset": {"path": str(log), "session_gap_seconds": 100,
                     "features": [{"name": "cat", "kind": "categorical"},
                                  {"name": "price", "kind": "numeric"}]},
         "preprocess": {"min_item_support": 2, "min_session_len": 2,
                        "fractions": [0.6, 0.2, 0.2]},
+        **sections,
     })
+
+
+def _preprocess(tmp_path, text, **sections):
+    log = tmp_path / "log.csv"
+    log.write_bytes(text.encode("utf-8"))
     out = tmp_path / "out"
-    return cli.run_preprocess(cfg, out), out
+    return cli.run_preprocess(_config(log, **sections), out), out
 
 
 ARTIFACTS = ("train.sessions", "validation.sessions", "test.sessions",
@@ -125,6 +131,33 @@ def test_manifest_counts_the_preprocess_work(tmp_path):
     # their support one round after another, each taking its session along
     # (Q, R, T); the last round changes nothing
     assert params["filter_rounds"] == [[2, 2], [1, 1], [1, 1], [1, 1], [0, 0]]
+
+
+# sha256 of the two metric reports of the pipeline below; any change to how
+# prefixes are built, indexed, recommended, trained or ranked shows here
+REPORTS = {
+    "report_eval-knn.tsv": "b4a34766c6332507fb29702188e77fce1ada902d25d67e1490c7e860b4b89fad",
+    "report_train-next.tsv": "0a4e8a59a94d3c5cf5c80341976612457fb093052f80f866fb723d52b7c6143f",
+}
+
+
+def test_pipeline_reports_are_pinned(tmp_path):
+    # small dims and few epochs; GCNext kNN and the pretrained next-item init
+    # both read train-embed's embeddings; k 5 of 9 train sessions cuts the
+    # neighbour list, and cutoffs 1 and 3 of 6 items keep the metrics apart
+    _, out = _preprocess(
+        tmp_path, _log_text(),
+        embed={"dim": 4, "hidden_dim": 4, "epochs": 3, "batch_size": 4, "fanouts": None},
+        knn={"k": 5, "m_sample": 10, "gcnext": {"enabled": True}},
+        nextitem={"init_mode": "pretrained", "epochs": 3, "batch_size": 4},
+        eval={"k_values": [1, 3], "repeats": 2, "master_seed": 3})
+    cfg = json.loads((out / cli.RESOLVED_CONFIG).read_text(encoding="utf-8"))
+    for run in (cli.run_build_graph, cli.run_train_embed, cli.run_eval_knn,
+                cli.run_train_next):
+        run(cfg, out)
+    digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+              for name in REPORTS}
+    assert digest == REPORTS
 
 
 # one malformed row per failure kind after a good row and a blank line, so

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sessgraph import sessiondata as sd
@@ -422,6 +422,26 @@ def test_prefix_count_identity():
     corpus = sd.SessionCorpus(_indexed_sessions(50, rng, items_per=4))
     total = sum(len(s) - 1 for s in corpus.sessions)
     assert len(sd.corpus_prefixes(corpus)) == total
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(st.integers(0, 9), max_size=12), max_size=8), st.integers(1, 13))
+@example([], 1)
+@example([[4], [5, 6], [7]], 1)
+@example([[0, 1, 2, 3, 4, 5, 6], [8], [2, 2, 9]], 3)
+def test_corpus_prefixes_equal_generate_prefixes(item_lists, max_len):
+    """The flat form built from the corpus columns equals generate_prefixes
+    over each session record, values and dtypes, for empty corpora, empty and
+    one-item sessions and sessions longer than max_len."""
+    corpus = sd.SessionCorpus(sd.Session(f"s{j}", tuple(items), j)
+                              for j, items in enumerate(item_lists))
+    got = sd.corpus_prefixes(corpus, max_len)
+    want = sd.FlatPrefixes.of([p for s in corpus.sessions
+                               for p in sd.generate_prefixes(s, max_len)])
+    for name in ("indptr", "items", "targets"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype == np.int64
+        assert g.tolist() == w.tolist()
 
 
 # ---------------------------------------------------------------------------
