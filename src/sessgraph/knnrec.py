@@ -28,10 +28,15 @@ bounded by its candidate pool, never a pass over all training sessions):
   entries before the union. The cut is exact: every session newer than a
   pool member s in a list containing s is also in the union, so fewer than
   ``m_sample`` sessions precede s in that list.
-- Unit rows. The index caches one EmbeddingMatcher, keyed by the identity of
-  the embeddings array and by the threshold, so the table is normalised once
-  and not on every query; the matcher keeps the match rows of its last query
-  for score_items.
+- Match lists. The index caches one EmbeddingMatcher, keyed by the identity
+  of the embeddings array and by the threshold, so the table is normalised
+  once and not on every query. The matcher keeps, for each item queried so
+  far, the ascending ids of the items it matches, computed by match_row the
+  first time the item is queried: a query then reads its items' lists and
+  makes no pass over the catalog, whose cost grows with the catalog size
+  times the embedding width. The lists hold at most MATCH_CACHE_ENTRIES ids
+  in all (a loose threshold matches O(m) items per item); a list that would
+  pass that bound clears the cache first.
 """
 
 from __future__ import annotations
@@ -42,10 +47,13 @@ import numpy as np
 
 from .config import CHOICES, DEFAULTS
 from .errors import ConfigError, DataError
-from .sessiondata import SessionCorpus, _offsets, str_codes
+from .sessiondata import SessionCorpus, _offsets, _spans, str_codes
 
 _KNN = DEFAULTS["knn"]
 _GCNEXT = _KNN["gcnext"]
+# total matched-item ids the match-list cache of one EmbeddingMatcher holds
+# (8 bytes each)
+MATCH_CACHE_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,8 @@ class KnnConfig:
 
 
 class EmbeddingMatcher:
-    """Threshold matching on cosine distance between item embeddings."""
+    """Threshold matching on cosine distance between item embeddings, with
+    each queried item's match list cached (see the module docstring)."""
 
     def __init__(self, embeddings: np.ndarray, threshold: float):
         emb = np.asarray(embeddings, dtype=np.float64)
@@ -94,29 +103,33 @@ class EmbeddingMatcher:
         self.unit = emb / norms
         self.threshold = float(threshold)
         self.m = emb.shape[0]
-        self._rows_key: tuple[int, ...] | None = None
-        self._rows: np.ndarray | None = None
-
-    def check_items(self, items):
-        items = np.fromiter(items, np.int64)
-        if items.size and (items.min() < 0 or items.max() >= self.m):
-            bad = items[(items < 0) | (items >= self.m)][0]
-            raise ConfigError(f"no embedding row for item {bad}")
+        self._lists: dict[int, np.ndarray] = {}
+        self._entries = 0
 
     def match_row(self, item: int) -> np.ndarray:
         """Boolean mask over the catalog: cosine distance <= threshold."""
         sims = self.unit @ self.unit[item]
         return (1.0 - sims) <= self.threshold + 1e-12
 
-    def match_rows(self, items: np.ndarray) -> np.ndarray:
-        """match_row of each of `items`, stacked; the last result is kept, so
-        find_neighbors and score_items of one query compute it once."""
-        key = tuple(items.tolist())
-        if key != self._rows_key:
-            self.check_items(items)
-            self._rows = np.array([self.match_row(x) for x in key]).reshape(len(key), self.m)
-            self._rows_key = key
-        return self._rows
+    def match_list(self, item: int) -> np.ndarray:
+        """The ascending ids of the items that `item` matches, cached."""
+        found = self._lists.get(item)
+        if found is None:
+            if not 0 <= item < self.m:
+                raise ConfigError(f"no embedding row for item {item}")
+            found = np.flatnonzero(self.match_row(item))
+            found.flags.writeable = False    # shared by every later query
+            if found.size <= MATCH_CACHE_ENTRIES:
+                if self._entries + found.size > MATCH_CACHE_ENTRIES:
+                    self._lists.clear()
+                    self._entries = 0
+                self._lists[item] = found
+                self._entries += found.size
+        return found
+
+    def match_lists(self, items: np.ndarray) -> list[np.ndarray]:
+        """match_list of each of `items`."""
+        return [self.match_list(x) for x in items.tolist()]
 
 
 @dataclass(eq=False)
@@ -138,24 +151,13 @@ class SessionIndex:
         return len(self.post_indptr) - 1
 
     def matcher(self, embeddings: np.ndarray, threshold: float) -> EmbeddingMatcher:
-        """The cached matcher for `embeddings` (by identity) at `threshold`."""
+        """The cached matcher for `embeddings` (by identity) at `threshold`.
+        It keeps the match lists of the items queried through it (at most
+        MATCH_CACHE_ENTRIES ids); a new array or threshold starts a new one."""
         m = self._matcher
         if m is None or m.source is not embeddings or m.threshold != float(threshold):
             m = self._matcher = EmbeddingMatcher(embeddings, threshold)
         return m
-
-
-def _csr_gather(indptr: np.ndarray, values: np.ndarray, rows: np.ndarray,
-                cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated slices ``values[indptr[r]:indptr[r + 1]]`` of `rows`, each
-    cut to its first `cap` entries: (slice lengths, values)."""
-    lo = indptr[rows]
-    lengths = indptr[rows + 1] - lo
-    if cap is not None:
-        lengths = np.minimum(lengths, cap)
-    ends = np.cumsum(lengths)
-    idx = np.repeat(lo - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
-    return lengths, values[idx]
 
 
 def index_sessions(train: SessionCorpus) -> SessionIndex:
@@ -199,15 +201,21 @@ def _in_index(index: SessionIndex, items: np.ndarray) -> np.ndarray:
 
 
 def _per_catalog_item(index: SessionIndex, matcher: EmbeddingMatcher | None,
-                      query: np.ndarray, values: np.ndarray, reduce) -> np.ndarray:
-    """For each catalog item, `reduce` of the `values` of the (distinct,
-    ascending) query items that match it; 0 where none does. Without GCNext
-    an item matches only itself."""
-    if matcher is not None:
-        return reduce(matcher.match_rows(query) * values[:, None], axis=0, initial=0)
-    out = np.zeros(index.n_items, np.int64)
-    inside = _in_index(index, query)
-    out[query[inside]] = values[inside]
+                      query: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+    """For each catalog item, the number of the (distinct, ascending) query
+    items that match it, or with `values` the largest of their `values`; 0
+    where none does. Without GCNext an item matches only itself."""
+    if matcher is None:
+        out = np.zeros(index.n_items, np.int64)
+        inside = _in_index(index, query)
+        out[query[inside]] = 1 if values is None else values[inside]
+        return out
+    lists = matcher.match_lists(query)
+    hits = np.concatenate(lists)
+    if values is None:
+        return np.bincount(hits, minlength=matcher.m)
+    out = np.zeros(matcher.m, np.int64)
+    np.maximum.at(out, hits, np.repeat(values, [len(found) for found in lists]))
     return out
 
 
@@ -224,10 +232,13 @@ def _session_items(index: SessionIndex, positions: np.ndarray,
                    matcher: EmbeddingMatcher | None):
     """(segment starts, lengths, items) of the sessions at `positions`; under
     GCNext every item must have an embedding row."""
-    lengths, items = _csr_gather(index.indptr, index.items, positions)
+    starts = index.indptr[positions]
+    lengths = index.indptr[positions + 1] - starts
+    indptr, entries = _spans(starts, lengths)
+    items = index.items[entries]
     if matcher is not None and items.size and items.max() >= matcher.m:
         raise ConfigError(f"no embedding row for item {items.max()}")
-    return np.cumsum(lengths) - lengths, lengths, items
+    return indptr[:-1], lengths, items
 
 
 def _candidate_pool(input_set, index: SessionIndex, config: KnnConfig,
@@ -235,12 +246,13 @@ def _candidate_pool(input_set, index: SessionIndex, config: KnnConfig,
     """Recency ranks (ascending) of the `m_sample` newest sessions holding an
     input item, or with `expand_pool` an item matched by one."""
     query = np.array(sorted(input_set), dtype=np.int64)
-    sources = query[_in_index(index, query)]
     if matcher is not None and config.gcnext.expand_pool:
-        matched = np.flatnonzero(matcher.match_rows(query).any(axis=0))
-        sources = np.union1d(sources, matched[_in_index(index, matched)])
-    _, ranks = _csr_gather(index.post_indptr, index.post_ranks, sources, config.m_sample)
-    return np.unique(ranks)[:config.m_sample]
+        query = np.unique(np.concatenate([query, *matcher.match_lists(query)]))
+    sources = query[_in_index(index, query)]
+    lo = index.post_indptr[sources]
+    lengths = np.minimum(index.post_indptr[sources + 1] - lo, config.m_sample)
+    _, entries = _spans(lo, lengths)
+    return np.unique(index.post_ranks[entries])[:config.m_sample]
 
 
 def find_neighbors(input_items, index: SessionIndex, config: KnnConfig,
@@ -256,7 +268,7 @@ def find_neighbors(input_items, index: SessionIndex, config: KnnConfig,
     matcher = _matcher_for(index, config, embeddings)
     query = np.array(sorted(input_set), dtype=np.int64)
     # the pairs a candidate item adds: the number of input items it matches
-    matches = _per_catalog_item(index, matcher, query, np.ones_like(query), np.sum)
+    matches = _per_catalog_item(index, matcher, query)
     ranks = _candidate_pool(input_set, index, config, matcher)
     if not ranks.size:
         return []
@@ -289,7 +301,7 @@ def score_items(neighbors: list[ScoredSession], input_items, index: SessionIndex
         # each distinct input item and the 1-based position of its last occurrence
         query, first_from_end = np.unique(inputs[::-1], return_index=True)
         last = n - first_from_end
-        latest = _per_catalog_item(index, matcher, query, last, np.max)
+        latest = _per_catalog_item(index, matcher, query, last)
         contribution = contribution * (np.maximum.reduceat(latest[items], starts) / n)
     weights = np.repeat(contribution, lengths)
     live = weights != 0.0
@@ -318,11 +330,14 @@ def recommend(input_items, index: SessionIndex, config: KnnConfig,
               embeddings: np.ndarray | None = None) -> RankedList:
     """The top `config.k_rec` items for one input session.
 
-    Under GCNext the index caches the unit rows of `embeddings`, keyed by the
-    identity of the array: to serve changed embeddings, pass a new array
-    rather than editing the one given before in place.
+    `input_items` may be any iterable; it is read once. Under GCNext the index
+    caches the unit rows of `embeddings` and the match list of each item
+    queried, keyed by the identity of the array and the threshold: to serve
+    changed embeddings, pass a new array rather than editing the one given
+    before in place. The lists are bounded by MATCH_CACHE_ENTRIES ids in all.
     """
-    if len(tuple(input_items)) < 1:
+    input_items = tuple(input_items)
+    if not input_items:
         raise DataError("input session must contain at least one item")
     neighbors = find_neighbors(input_items, index, config, embeddings)
     scores = score_items(neighbors, input_items, index, config, embeddings)

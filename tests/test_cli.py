@@ -48,6 +48,15 @@ def workdir(tmp_path_factory):
     return root, cfg_path, out
 
 
+@pytest.fixture(scope="module")
+def embedded(workdir):
+    """workdir with embeddings.bin, so a test reading it runs in any order."""
+    root, cfg_path, out = workdir
+    assert cli.main(["train-embed", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", "7"]) == 0
+    return workdir
+
+
 def test_config_defaults_and_unknown_keys():
     cfg = resolve_config({})
     assert cfg["preprocess"]["min_item_support"] == 5
@@ -145,8 +154,8 @@ def test_eval_knn_report_and_stage_independence(workdir):
         assert any(l.startswith(metric) for l in report.splitlines())
 
 
-def test_eval_knn_gcnext_uses_embeddings(workdir):
-    root, cfg_path, out = workdir
+def test_eval_knn_gcnext_uses_embeddings(embedded):
+    root, cfg_path, out = embedded
     cfg = json.loads(cfg_path.read_text())
     cfg["knn"]["gcnext"] = {"enabled": True, "distance_threshold": 0.4}
     cfg2 = root / "config_gc.json"

@@ -121,6 +121,61 @@ def test_matcher_cache_follows_embeddings_and_threshold(expand):
         assert index.matcher(emb, tau) is index.matcher(emb, tau)
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.5, 0.99, 1.0, 1.5])
+def test_match_lists_equal_match_rows(tau):
+    """Each item's cached list is flatnonzero of its match row. An all-zero
+    embedding row sits at distance 1 from every row, itself included, so it
+    matches nothing below threshold 1 and everything from 1 on."""
+    emb = np.random.default_rng(5).normal(size=(15, 4))
+    emb[3] = 0.0
+    matcher = kr.EmbeddingMatcher(emb, tau)
+    lists = matcher.match_lists(np.arange(15))
+    for x, found in enumerate(lists):
+        assert found.tolist() == np.flatnonzero(matcher.match_row(x)).tolist()
+        assert matcher.match_list(x) is found
+    assert lists[3].tolist() == ([] if tau < 1 else list(range(15)))
+    assert [3 in found for found in lists] == [tau >= 1] * 15
+
+
+def test_match_row_runs_once_per_distinct_item(monkeypatch):
+    corpus, queries, rng = _random_case(4)
+    emb = rng.normal(size=(12, 4))
+    calls = []
+    match_row = kr.EmbeddingMatcher.match_row
+
+    def counted(self, item):
+        calls.append(item)
+        return match_row(self, item)
+
+    monkeypatch.setattr(kr.EmbeddingMatcher, "match_row", counted)
+    index = kr.index_sessions(corpus)
+    config = kr.KnnConfig(k=10, m_sample=30, base_mode="v-sknn",
+                          gcnext=kr.GcnextConfig(True, 0.6, "position", True))
+    stream = queries * 3
+    for query in stream:
+        kr.recommend(query, index, config, emb)
+    assert sorted(calls) == sorted({x for query in stream for x in query})
+
+
+@pytest.mark.parametrize("cap", [5, 12, 30])
+def test_match_cache_stays_within_its_bound(monkeypatch, cap):
+    """At threshold 2 every item matches every item (12 ids a list). A cap
+    below one list caches nothing; the others clear the cache when full."""
+    monkeypatch.setattr(kr, "MATCH_CACHE_ENTRIES", cap)
+    corpus, queries, rng = _random_case(5)
+    emb = rng.normal(size=(12, 4))
+    index, ref = kr.index_sessions(corpus), knnref.index_sessions(corpus)
+    for expand, scoring in [(False, "rscore"), (True, "position")]:
+        config = kr.KnnConfig(k=10, m_sample=30,
+                              gcnext=kr.GcnextConfig(True, 2.0, scoring, expand))
+        for query in queries * 2:
+            assert kr.recommend(query, index, config, emb).entries == \
+                knnref.recommend(query, ref, config, emb).entries
+            matcher = index.matcher(emb, 2.0)
+            held = sum(found.size for found in matcher._lists.values())
+            assert held == matcher._entries <= cap
+
+
 def test_pool_candidate_without_embedding_row_is_config_error():
     index = kr.index_sessions(_corpus([[0, 1], [0, 7]], [0, 1], ["a", "b"]))
     config = kr.KnnConfig(gcnext=kr.GcnextConfig(True, 0.5))

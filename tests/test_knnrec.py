@@ -222,6 +222,17 @@ def test_recommend_single_training_session():
     assert scores[0] == scores[1] == scores[2]
 
 
+@pytest.mark.parametrize("wrap", [iter, lambda items: (x for x in items)],
+                         ids=["iterator", "generator"])
+@pytest.mark.parametrize("mode", ["sknn", "v-sknn"])
+def test_recommend_reads_a_one_shot_iterable_once(wrap, mode):
+    index = kr.index_sessions(_corpus([[1, 2], [1, 3, 4]]))
+    cfg = _config(base_mode=mode)
+    expected = kr.recommend([1], index, cfg)
+    assert len(expected) == 4
+    assert kr.recommend(wrap([1]), index, cfg).entries == expected.entries
+
+
 def test_recommend_excludes_input_when_configured():
     index = kr.index_sessions(_corpus([[0, 1, 2]]))
     ranked = kr.recommend([0], index, _config(exclude_input_items=True))
